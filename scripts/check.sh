@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate.
 #
-#   scripts/check.sh          fast gate: build, fast-label tests, 60 s fuzz
+#   scripts/check.sh          fast gate: build, fast-label tests, benchmark
+#                             self-test, 60 s fuzz
 #   scripts/check.sh --full   everything: all test labels (fast + slow +
 #                             stress), examples, bench smoke
 #   scripts/check.sh --trace  build + the trace smoke only (exports a
@@ -79,6 +80,12 @@ if [[ "$FULL" == 1 ]]; then
 else
   ctest --test-dir build -L fast --output-on-failure
 fi
+
+echo "== benchmark self-test =="
+# The verdict benchmark's known answers (perfbench/known_answers.txt), its
+# metric set and its count repeatability, at tiny sizes: a detector change
+# that shifts a known answer fails here, before it reaches the benchmark.
+python3 perfbench/selftest.py
 
 echo "== json report smoke =="
 # One known-racy litmus run through --format=json: validate the rader.report

@@ -5,6 +5,7 @@
 
 #include "support/common.hpp"
 #include "support/metrics.hpp"
+#include "support/trace.hpp"
 
 namespace rader {
 
@@ -290,6 +291,20 @@ void RaceLog::clear() {
   determinacy_races_.clear();
   seen_view_reads_.clear();
   seen_determinacy_.clear();
+}
+
+void report_access_race(RaceLog* log, std::uintptr_t granule,
+                        std::uintptr_t addr, AccessKind kind, bool view_aware,
+                        bool prior_was_write, FrameId prior, FrameId current,
+                        const char* label) {
+  trace::emit_conflict(
+      current, granule, addr, prior,
+      (kind == AccessKind::kWrite ? trace::kConflictWrite : 0) |
+          (view_aware ? trace::kConflictViewAware : 0) |
+          (prior_was_write ? trace::kConflictPriorWrite : 0),
+      label);
+  log->report_determinacy(make_determinacy_race(
+      addr, kind, view_aware, prior_was_write, prior, current, label));
 }
 
 }  // namespace rader

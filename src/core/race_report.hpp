@@ -204,4 +204,11 @@ class RaceLog {
   std::unordered_map<DeterminacyKey, std::size_t, KeyHash> seen_determinacy_;
 };
 
+/// Record one determinacy race found by an access check (SP-bags, SP-order,
+/// SP+): the trace's conflict event for `granule`, then the log entry.
+void report_access_race(RaceLog* log, std::uintptr_t granule,
+                        std::uintptr_t addr, AccessKind kind, bool view_aware,
+                        bool prior_was_write, FrameId prior, FrameId current,
+                        const char* label);
+
 }  // namespace rader

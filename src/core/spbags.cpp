@@ -1,9 +1,6 @@
 #include "core/spbags.hpp"
 
-#include <algorithm>
-
 #include "support/metrics.hpp"
-#include "support/trace.hpp"
 
 namespace rader {
 
@@ -62,73 +59,27 @@ void SpBagsDetector::on_sync(FrameId) {
 
 void SpBagsDetector::on_clear(std::uintptr_t addr, std::size_t size) {
   if (size == 0) return;
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    shadow_.clear_granule(g);
-    if (g == last) break;
-  }
+  shadow_.clear_range(addr >> granule_bits_,
+                      access_last_byte(addr, size) >> granule_bits_);
 }
 
 void SpBagsDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                std::size_t size, bool, ViewId, SrcTag tag) {
-  FrameState& f = stack_.back();
-  if (size == 0) return;
-  metrics::bump(metrics::Counter::kAccessesInstrumented);
-  metrics::record(metrics::Histogram::kAccessBytes, size);
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    // Reported address: the first byte of THIS access within granule g (==
-    // the byte itself when granule_bits=0).  Reporting the granule base
-    // would collapse distinct races within one granule to one frame-free
-    // dedup identity in core/race_report.
-    const std::uintptr_t b = std::max(addr, g << granule_bits_);
-    // Extent recorded alongside the id (diagnostic; reports use `b`).
-    const unsigned off = static_cast<unsigned>(b - (g << granule_bits_));
-    const auto w = shadow_.writer(g);
-    const bool writer_parallel =
-        w != shadow::AccessShadow::kEmpty &&
-        ds_.meta_of(w).kind == dsu::BagKind::kP;
-    if (kind == AccessKind::kRead) {
-      if (writer_parallel) {
-        trace::emit_conflict(static_cast<FrameId>(f.node), g, b, w,
-                             trace::kConflictPriorWrite, tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, true, w, static_cast<FrameId>(f.node), tag.label));
-      }
-      const auto r = shadow_.reader(g);
-      if (r == shadow::AccessShadow::kEmpty ||
-          ds_.meta_of(r).kind == dsu::BagKind::kS) {
-        shadow_.set_reader(g, f.node, off);
-      }
-    } else {
-      const auto r = shadow_.reader(g);
-      if (r != shadow::AccessShadow::kEmpty &&
-          ds_.meta_of(r).kind == dsu::BagKind::kP) {
-        trace::emit_conflict(static_cast<FrameId>(f.node), g, b, r,
-                             trace::kConflictWrite, tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, false, r, static_cast<FrameId>(f.node), tag.label));
-      }
-      if (writer_parallel) {
-        trace::emit_conflict(static_cast<FrameId>(f.node), g, b, w,
-                             trace::kConflictWrite | trace::kConflictPriorWrite,
-                             tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, true, w, static_cast<FrameId>(f.node), tag.label));
-      }
-      if (w == shadow::AccessShadow::kEmpty ||
-          ds_.meta_of(w).kind == dsu::BagKind::kS) {
-        shadow_.set_writer(g, f.node, off);
-      }
-    }
-    if (g == last) break;
-  }
+  const auto fid = static_cast<FrameId>(stack_.back().node);
+  shadow_.check_access(
+      kind == AccessKind::kWrite, addr, size, granule_bits_, stack_.back().node,
+      [&](shadow::AccessShadow::Payload prior) {
+        // A prior access in a P bag is parallel; one in an S bag is in
+        // series and gets replaced.
+        const dsu::BagKind k = ds_.meta_of(prior).kind;
+        return shadow::AccessShadow::Verdict{k == dsu::BagKind::kP,
+                                             k == dsu::BagKind::kS};
+      },
+      [&](std::uintptr_t g, std::uintptr_t b,
+          shadow::AccessShadow::Payload prior, bool prior_was_write) {
+        report_access_race(log_, g, b, kind, false, prior_was_write,
+                           prior, fid, tag.label);
+      });
 }
 
 }  // namespace rader

@@ -1,9 +1,6 @@
 #include "core/sporder.hpp"
 
-#include <algorithm>
-
 #include "support/metrics.hpp"
-#include "support/trace.hpp"
 
 namespace rader {
 
@@ -114,67 +111,23 @@ void SpOrderDetector::on_sync(FrameId) {
 void SpOrderDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                 std::size_t size, bool, ViewId, SrcTag tag) {
   const FrameId fid = stack_.back().id;
-  if (size == 0) return;
-  metrics::bump(metrics::Counter::kAccessesInstrumented);
-  metrics::record(metrics::Histogram::kAccessBytes, size);
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    // Reported address: the first byte of THIS access within granule g (==
-    // the byte itself when granule_bits=0), so distinct races inside one
-    // granule keep distinct dedup identities.
-    const std::uintptr_t b = std::max(addr, g << granule_bits_);
-    // Extent recorded alongside the id (diagnostic; reports use `b`).
-    const unsigned off = static_cast<unsigned>(b - (g << granule_bits_));
-    const auto w = shadow_.writer(g);
-    const bool writer_parallel =
-        w != shadow::AccessShadow::kEmpty && !in_series_with_current(w);
-    if (kind == AccessKind::kRead) {
-      if (writer_parallel) {
-        trace::emit_conflict(fid, g, b, strand_frame_[w],
-                             trace::kConflictPriorWrite, tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, true, strand_frame_[w], fid, tag.label));
-      }
-      const auto r = shadow_.reader(g);
-      if (r == shadow::AccessShadow::kEmpty || in_series_with_current(r)) {
-        shadow_.set_reader(g, top_ref_, off);
-      }
-    } else {
-      const auto r = shadow_.reader(g);
-      if (r != shadow::AccessShadow::kEmpty && !in_series_with_current(r)) {
-        trace::emit_conflict(fid, g, b, strand_frame_[r],
-                             trace::kConflictWrite, tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, false, strand_frame_[r], fid, tag.label));
-      }
-      if (writer_parallel) {
-        trace::emit_conflict(fid, g, b, strand_frame_[w],
-                             trace::kConflictWrite | trace::kConflictPriorWrite,
-                             tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, true, strand_frame_[w], fid, tag.label));
-      }
-      if (w == shadow::AccessShadow::kEmpty || in_series_with_current(w)) {
-        shadow_.set_writer(g, top_ref_, off);
-      }
-    }
-    if (g == last) break;
-  }
+  shadow_.check_access(
+      kind == AccessKind::kWrite, addr, size, granule_bits_, top_ref_,
+      [&](shadow::AccessShadow::Payload prior) {
+        const bool series = in_series_with_current(prior);
+        return shadow::AccessShadow::Verdict{!series, series};
+      },
+      [&](std::uintptr_t g, std::uintptr_t b,
+          shadow::AccessShadow::Payload prior, bool prior_was_write) {
+        report_access_race(log_, g, b, kind, false, prior_was_write,
+                           strand_frame_[prior], fid, tag.label);
+      });
 }
 
 void SpOrderDetector::on_clear(std::uintptr_t addr, std::size_t size) {
   if (size == 0) return;
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    shadow_.clear_granule(g);
-    if (g == last) break;
-  }
+  shadow_.clear_range(addr >> granule_bits_,
+                      access_last_byte(addr, size) >> granule_bits_);
 }
 
 }  // namespace rader

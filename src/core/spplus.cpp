@@ -1,9 +1,6 @@
 #include "core/spplus.hpp"
 
-#include <algorithm>
-
 #include "support/metrics.hpp"
-#include "support/trace.hpp"
 
 namespace rader {
 
@@ -91,29 +88,10 @@ void SpPlusDetector::on_reduce(FrameId, ViewId left_vid, ViewId right_vid) {
   f.p_stack.back().merge_from(popped);
 }
 
-bool SpPlusDetector::prior_races_oblivious(
-    shadow::AccessShadow::Payload prior) {
-  if (prior == shadow::AccessShadow::kEmpty) return false;
-  return ds_.meta_of(prior).kind == dsu::BagKind::kP;
-}
-
-bool SpPlusDetector::prior_races_view_aware(
-    shadow::AccessShadow::Payload prior, dsu::ViewId cur_vid) {
-  if (prior == shadow::AccessShadow::kEmpty) return false;
-  const auto& meta = ds_.meta_of(prior);
-  return meta.kind == dsu::BagKind::kP && meta.vid != cur_vid;
-}
-
 void SpPlusDetector::on_clear(std::uintptr_t addr, std::size_t size) {
   if (size == 0) return;
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    shadow_.clear_granule(g);
-    if (g == last) break;
-  }
+  shadow_.clear_range(addr >> granule_bits_,
+                      access_last_byte(addr, size) >> granule_bits_);
 }
 
 void SpPlusDetector::on_access(AccessKind kind, std::uintptr_t addr,
@@ -121,85 +99,25 @@ void SpPlusDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                SrcTag tag) {
   FrameState& f = stack_.back();
   const dsu::ViewId cur_vid = f.p_stack.back().vid();
-  const bool in_reduce = f.is_reduce;
   const auto fid = static_cast<FrameId>(f.node);
-
-  // Shadow replacement predicate: prior in series (S bag), or — inside a
-  // Reduce invocation — prior on the view being merged (same vid).
-  const auto should_replace = [&](shadow::AccessShadow::Payload prior) {
-    if (prior == shadow::AccessShadow::kEmpty) return true;
-    const auto& meta = ds_.meta_of(prior);
-    if (meta.kind == dsu::BagKind::kS) return true;
-    return in_reduce && meta.vid == cur_vid;
-  };
-
-  if (size == 0) return;
-  metrics::bump(metrics::Counter::kAccessesInstrumented);
-  metrics::record(metrics::Histogram::kAccessBytes, size);
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    // Reported address: the first byte of THIS access within granule g (==
-    // the byte itself when granule_bits=0), so distinct races inside one
-    // granule keep distinct dedup identities.
-    const std::uintptr_t b = std::max(addr, g << granule_bits_);
-    // Extent recorded alongside the id (diagnostic; reports use `b`).
-    const unsigned off = static_cast<unsigned>(b - (g << granule_bits_));
-    const auto w = shadow_.writer(g);
-    if (kind == AccessKind::kRead) {
-      const bool races = view_aware ? prior_races_view_aware(w, cur_vid)
-                                    : prior_races_oblivious(w);
-      if (races) {
-        trace::emit_conflict(
-            fid, g, b, w,
-            trace::kConflictPriorWrite |
-                (view_aware ? trace::kConflictViewAware : 0),
-            tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, view_aware, true, w, fid, tag.label));
-      }
-      const auto r = shadow_.reader(g);
-      if (view_aware ? should_replace(r)
-                     : (r == shadow::AccessShadow::kEmpty ||
-                        ds_.meta_of(r).kind == dsu::BagKind::kS)) {
-        shadow_.set_reader(g, f.node, off);
-      }
-    } else {
-      const auto r = shadow_.reader(g);
-      const bool reader_races = view_aware
-                                    ? prior_races_view_aware(r, cur_vid)
-                                    : prior_races_oblivious(r);
-      if (reader_races) {
-        trace::emit_conflict(
-            fid, g, b, r,
-            trace::kConflictWrite |
-                (view_aware ? trace::kConflictViewAware : 0),
-            tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, view_aware, false, r, fid, tag.label));
-      }
-      const bool writer_races = view_aware
-                                    ? prior_races_view_aware(w, cur_vid)
-                                    : prior_races_oblivious(w);
-      if (writer_races) {
-        trace::emit_conflict(
-            fid, g, b, w,
-            trace::kConflictWrite | trace::kConflictPriorWrite |
-                (view_aware ? trace::kConflictViewAware : 0),
-            tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, view_aware, true, w, fid, tag.label));
-      }
-      if (view_aware ? should_replace(w)
-                     : (w == shadow::AccessShadow::kEmpty ||
-                        ds_.meta_of(w).kind == dsu::BagKind::kS)) {
-        shadow_.set_writer(g, f.node, off);
-      }
-    }
-    if (g == last) break;
-  }
+  shadow_.check_access(
+      kind == AccessKind::kWrite, addr, size, granule_bits_, f.node,
+      [&](shadow::AccessShadow::Payload prior) {
+        // Figure 6: a view-oblivious access races with a prior access in any
+        // P bag, a view-aware one only with a P bag of a different view.
+        // The prior is replaced when in series (S bag) or — inside a Reduce
+        // invocation — when on the view being merged (same vid).
+        const auto& meta = ds_.meta_of(prior);
+        const bool same_view = view_aware && meta.vid == cur_vid;
+        return shadow::AccessShadow::Verdict{
+            meta.kind == dsu::BagKind::kP && !same_view,
+            meta.kind == dsu::BagKind::kS || (f.is_reduce && same_view)};
+      },
+      [&](std::uintptr_t g, std::uintptr_t b,
+          shadow::AccessShadow::Payload prior, bool prior_was_write) {
+        report_access_race(log_, g, b, kind, view_aware, prior_was_write,
+                           prior, fid, tag.label);
+      });
 }
 
 }  // namespace rader

@@ -69,11 +69,6 @@ class SpPlusDetector final : public Tool {
     std::vector<dsu::Bag> p_stack;
   };
 
-  // Race checks shared by the four access cases.
-  bool prior_races_oblivious(shadow::AccessShadow::Payload prior);
-  bool prior_races_view_aware(shadow::AccessShadow::Payload prior,
-                              dsu::ViewId cur_vid);
-
   unsigned granule_bits_;
   dsu::DisjointSets ds_;
   std::vector<FrameState> stack_;

@@ -56,11 +56,23 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   // resume_from()), so without this the program's stack locals would sit at
   // slightly shifted addresses in otherwise identical executions — enough
   // to fail resume verification ("access addresses drifted") and drive
-  // every prefix-sweep resume into fallback.  Padding to a 64 KiB boundary
-  // makes the frame user code runs in independent of the entry point.  The
-  // frame address is 16-aligned, so the alloca amount is exact.
-  void* stack_pad = __builtin_alloca(
-      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) & 0xFFF0u);
+  // every prefix-sweep resume into fallback.  The pad lowers user code to a
+  // per-thread anchor, 64 KiB-aligned and at least kStackSlack below the
+  // thread's first entry frame.  (Rounding each run's own frame down to a
+  // boundary fails when two entry frames straddle one, which ASLR decides.)
+  // A frame at or below the anchor, or over kMaxPad above it, re-anchors;
+  // checkpoints from the old anchor then fall back to a rerun.  Frame
+  // addresses are 16-aligned, so the alloca amount is exact.
+  constexpr std::uintptr_t kStackSlack = std::uintptr_t{16} << 10;
+  constexpr std::uintptr_t kMaxPad = std::uintptr_t{1} << 20;
+  thread_local std::uintptr_t t_user_stack = 0;
+  const auto frame =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (t_user_stack == 0 || frame <= t_user_stack ||
+      frame - t_user_stack > kMaxPad) {
+    t_user_stack = (frame - kStackSlack) & ~std::uintptr_t{0xFFFF};
+  }
+  void* stack_pad = __builtin_alloca(frame - t_user_stack);
   asm volatile("" : : "r"(stack_pad));  // the pad must not be elided
 #endif
   running_ = true;

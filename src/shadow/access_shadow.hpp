@@ -21,10 +21,12 @@
 // report inputs — see the granularity regression tests.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "shadow/packed_shadow.hpp"
 #include "shadow/shadow_space.hpp"
+#include "support/metrics.hpp"
 
 namespace rader::shadow {
 
@@ -93,13 +95,109 @@ class AccessShadow {
     return enc_ == SlotEncoding::kPacked ? packed_.writer_offset(g) : 0;
   }
 
-  /// Reset both fields of one granule (the detectors' on_clear path).
+  /// Reset both fields of one granule.
   void clear_granule(std::uintptr_t g) {
     if (enc_ == SlotEncoding::kPacked) {
       packed_.clear_granule(g);
     } else {
       legacy_reader_.set(g, kEmpty);
       legacy_writer_.set(g, kEmpty);
+    }
+  }
+
+  /// Reset granules [first, last] (the detectors' on_clear path): one fill
+  /// per present page under kPacked, per-granule clears under kLegacy.
+  void clear_range(std::uintptr_t first, std::uintptr_t last) {
+    if (enc_ == SlotEncoding::kPacked) {
+      packed_.clear_range(first, last);
+      return;
+    }
+    for (std::uintptr_t g = first;; ++g) {
+      clear_granule(g);
+      if (g == last) break;
+    }
+  }
+
+  /// A detector's verdict on one prior (reader or writer) id for the
+  /// access being checked.
+  struct Verdict {
+    bool races;    // the prior access is logically parallel: report it
+    bool replace;  // the current access supersedes it in the shadow
+  };
+
+  /// The race check and shadow update shared by SP-bags, SP-order and
+  /// SP+.  For each granule g of the `size` bytes at `addr`, in ascending
+  /// order: a read reports a racing writer, then records `cur` as reader if
+  /// the reader is to be replaced; a write reports a racing reader, then a
+  /// racing writer, then records `cur` as writer if the writer is to be
+  /// replaced.  Empty priors never race and are always replaced (`classify`
+  /// never sees kEmpty).  `report(g, b, prior, prior_was_write)` gets the
+  /// access's first byte b within g.  Counts the access in
+  /// detector.accesses_instrumented and the access-bytes histogram.
+  ///
+  /// Under kPacked the walk goes one page-run at a time (peek_run, then
+  /// writable_run once a store is due) and classifies a (reader, writer)
+  /// pair once for as long as consecutive granules repeat it, so a
+  /// multi-byte access by one strand pays one disjoint-set find, not one
+  /// per granule.  Under kLegacy every granule is classified afresh, which
+  /// makes the encoding-equivalence battery a check of that memo too.
+  template <class Classify, class Report>
+  void check_access(bool is_write, std::uintptr_t addr, std::size_t size,
+                    unsigned granule_bits, Payload cur, Classify&& classify,
+                    Report&& report) {
+    if (size == 0) return;
+    metrics::bump(metrics::Counter::kAccessesInstrumented);
+    metrics::record(metrics::Histogram::kAccessBytes, size);
+    enum : unsigned { kReaderRaces = 1, kWriterRaces = 2, kReplace = 4 };
+    const auto decide = [&](Payload r, Payload w) {
+      const Verdict empty{false, true};
+      const Verdict vr = r == kEmpty ? empty : classify(r);
+      const Verdict vw = w == kEmpty ? empty : classify(w);
+      return (is_write && vr.races ? kReaderRaces : 0u) |
+             (vw.races ? kWriterRaces : 0u) |
+             ((is_write ? vw : vr).replace ? kReplace : 0u);
+    };
+    const bool packed = enc_ == SlotEncoding::kPacked;
+    const std::uintptr_t first = addr >> granule_bits;
+    const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits;
+    std::uint64_t memo_pair = ~std::uint64_t{0};  // matches no masked slot
+    unsigned memo = 0;
+    // One page-run per pass; stop after the run holding `last`, which may
+    // be the top granule index, so the cursor never wraps.
+    for (std::uintptr_t g = first;;) {
+      const std::uintptr_t end =
+          std::min(last, g | (PackedShadow::kPageSlots - 1));
+      const std::uint64_t* in = packed ? packed_.peek_run(g) : nullptr;
+      std::uint64_t* out = nullptr;
+      for (std::uintptr_t h = g;; ++h) {
+        const std::uint64_t slot =
+            in == nullptr ? PackedShadow::kEmptySlot : in[h - g];
+        const Payload r = packed ? PackedShadow::reader_of(slot) : reader(h);
+        const Payload w = packed ? PackedShadow::writer_of(slot) : writer(h);
+        if (!packed || (slot & PackedShadow::kPairMask) != memo_pair) {
+          memo_pair = slot & PackedShadow::kPairMask;
+          memo = decide(r, w);
+        }
+        // The first byte of THIS access within h (the byte itself when
+        // granule_bits=0), so distinct races inside one granule keep
+        // distinct dedup identities; its offset is stored as the extent.
+        const std::uintptr_t b = h == first ? addr : h << granule_bits;
+        if (memo & kReaderRaces) report(h, b, r, false);
+        if (memo & kWriterRaces) report(h, b, w, true);
+        if (memo & kReplace) {
+          const auto off = static_cast<unsigned>(b - (h << granule_bits));
+          if (!packed) {
+            is_write ? set_writer(h, cur, off) : set_reader(h, cur, off);
+          } else {
+            if (out == nullptr) in = out = packed_.writable_run(g);
+            out[h - g] = is_write ? PackedShadow::with_writer(slot, cur, off)
+                                  : PackedShadow::with_reader(slot, cur, off);
+          }
+        }
+        if (h == end) break;
+      }
+      if (end == last) break;
+      g = end + 1;
     }
   }
 

@@ -1,5 +1,6 @@
 #include "shadow/packed_shadow.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/hash.hpp"
@@ -8,8 +9,6 @@
 namespace rader::shadow {
 
 namespace {
-
-constexpr std::uint64_t kAllEmptySlot = ~std::uint64_t{0};
 
 void pages_live_delta(std::int64_t n) {
   if (n != 0) metrics::gauge_add(metrics::Gauge::kShadowPagesLive, n);
@@ -180,23 +179,23 @@ PackedShadow::Chunk* PackedShadow::unshare_chunk(Chunk* chunk) {
 
 // ---- Slot access -----------------------------------------------------------
 
-std::uint64_t PackedShadow::load_slot(std::uintptr_t g) {
+const std::uint64_t* PackedShadow::peek_run(std::uintptr_t g) {
   const std::uintptr_t pkey = page_key(g);
   if (pkey != cached_pkey_) {
     Chunk* chunk = find_chunk(chunk_key(g));
-    if (chunk == nullptr) return kAllEmptySlot;
+    if (chunk == nullptr) return nullptr;
     Page* page = chunk->pages[page_index(g)].load(std::memory_order_acquire);
-    if (page == nullptr) return kAllEmptySlot;
+    if (page == nullptr) return nullptr;
     cached_pkey_ = pkey;
     cached_page_ = page;
   }
   // The cached page may have gone stale since it was cached (epoch bump):
   // validate on every hit — a stale page reads as all-empty.
-  if (cached_page_->epoch != epoch_) return kAllEmptySlot;
-  return cached_page_->slots[slot_index(g)];
+  if (cached_page_->epoch != epoch_) return nullptr;
+  return &cached_page_->slots[slot_index(g)];
 }
 
-std::uint64_t* PackedShadow::writable_slot(std::uintptr_t g) {
+std::uint64_t* PackedShadow::writable_run(std::uintptr_t g) {
   const std::uintptr_t pkey = page_key(g);
   if (pkey == wcached_pkey_) return &wcached_slots_[slot_index(g)];
   Chunk* chunk = ensure_chunk(chunk_key(g));
@@ -247,16 +246,27 @@ std::uint64_t* PackedShadow::writable_slot(std::uintptr_t g) {
   return &page->slots[slot_index(g)];
 }
 
-void PackedShadow::clear_granule(std::uintptr_t g) {
+std::uint64_t* PackedShadow::clearable_run(std::uintptr_t g) {
   if (page_key(g) != wcached_pkey_) {
-    // Absent or stale pages already read as empty: do not materialize a
-    // page just to store emptiness into it.
     Chunk* chunk = find_chunk(chunk_key(g));
-    if (chunk == nullptr) return;
+    if (chunk == nullptr) return nullptr;
     Page* page = chunk->pages[page_index(g)].load(std::memory_order_relaxed);
-    if (page == nullptr || page->epoch != epoch_) return;
+    if (page == nullptr || page->epoch != epoch_) return nullptr;
   }
-  *writable_slot(g) = kAllEmptySlot;
+  return writable_run(g);
+}
+
+void PackedShadow::clear_range(std::uintptr_t first, std::uintptr_t last) {
+  // `last` may be the top granule index: step page by page and stop after
+  // the page holding it, so the cursor never wraps.
+  for (std::uintptr_t g = first;;) {
+    const std::uintptr_t end = std::min(last, g | (kPageSlots - 1));
+    if (std::uint64_t* run = clearable_run(g)) {
+      std::fill_n(run, end - g + 1, kEmptySlot);
+    }
+    if (end == last) return;
+    g = end + 1;
+  }
 }
 
 // ---- Bulk operations -------------------------------------------------------

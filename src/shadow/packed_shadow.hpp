@@ -89,16 +89,8 @@ class PackedShadow {
   ~PackedShadow();
 
   /// Reader / writer id recorded for granule `g`, or kEmpty.
-  Payload reader(std::uintptr_t g) {
-    const std::uint64_t slot = load_slot(g);
-    const Payload field = static_cast<Payload>(slot & kFieldEmpty);
-    return field == kFieldEmpty ? kEmpty : field;
-  }
-  Payload writer(std::uintptr_t g) {
-    const std::uint64_t slot = load_slot(g);
-    const Payload field = static_cast<Payload>((slot >> 28) & kFieldEmpty);
-    return field == kFieldEmpty ? kEmpty : field;
-  }
+  Payload reader(std::uintptr_t g) { return reader_of(load_slot(g)); }
+  Payload writer(std::uintptr_t g) { return writer_of(load_slot(g)); }
 
   /// Recorded access extent: first byte of the recorded access within
   /// granule `g`, clamped to kMaxOffset (meaningless when the id is
@@ -114,21 +106,59 @@ class PackedShadow {
   /// Record reader/writer `v` for granule `g` with the access's byte
   /// offset within the granule (clamped to the 4-bit extent field).
   void set_reader(std::uintptr_t g, Payload v, unsigned offset = 0) {
-    std::uint64_t& slot = *writable_slot(g);
-    slot = (slot & ~((std::uint64_t{kFieldEmpty}) | (std::uint64_t{0xF} << 56)))
+    std::uint64_t& slot = *writable_run(g);
+    slot = with_reader(slot, v, offset);
+  }
+  void set_writer(std::uintptr_t g, Payload v, unsigned offset = 0) {
+    std::uint64_t& slot = *writable_run(g);
+    slot = with_writer(slot, v, offset);
+  }
+
+  /// Reset both fields of one granule to empty.
+  void clear_granule(std::uintptr_t g) {
+    if (std::uint64_t* slot = clearable_run(g)) *slot = kEmptySlot;
+  }
+
+  /// Reset granules [first, last] to empty with one fill per present,
+  /// current-epoch page.  Absent and stale pages already read as empty
+  /// and are skipped: no page is materialized to store emptiness.
+  void clear_range(std::uintptr_t first, std::uintptr_t last);
+
+  // ---- Page runs: the detectors' access walk (AccessShadow::check_access)
+
+  /// Current-epoch slots from `g` to the end of its page, or nullptr when
+  /// every one of them reads empty (no page, or a stale one).  Never
+  /// allocates.  Valid until the next write or clear through this space.
+  const std::uint64_t* peek_run(std::uintptr_t g);
+
+  /// Exclusive current-epoch slots from `g` to the end of its page,
+  /// allocating / un-sharing / resetting the page as needed.
+  std::uint64_t* writable_run(std::uintptr_t g);
+
+  /// Slot codec (bit layout in the file header).
+  static constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+  /// The reader and writer id bits: slots equal under this mask hold the
+  /// same (reader, writer) pair, whatever their offsets.
+  static constexpr std::uint64_t kPairMask = (std::uint64_t{1} << 56) - 1;
+  static Payload reader_of(std::uint64_t slot) {
+    return decode_field(slot & kFieldEmpty);
+  }
+  static Payload writer_of(std::uint64_t slot) {
+    return decode_field((slot >> 28) & kFieldEmpty);
+  }
+  static std::uint64_t with_reader(std::uint64_t slot, Payload v,
+                                   unsigned offset) {
+    return (slot & ~(std::uint64_t{kFieldEmpty} | (std::uint64_t{0xF} << 56)))
            | encode_field(v)
            | (std::uint64_t{clamp_offset(offset)} << 56);
   }
-  void set_writer(std::uintptr_t g, Payload v, unsigned offset = 0) {
-    std::uint64_t& slot = *writable_slot(g);
-    slot = (slot &
+  static std::uint64_t with_writer(std::uint64_t slot, Payload v,
+                                   unsigned offset) {
+    return (slot &
             ~((std::uint64_t{kFieldEmpty} << 28) | (std::uint64_t{0xF} << 60)))
            | (encode_field(v) << 28)
            | (std::uint64_t{clamp_offset(offset)} << 60);
   }
-
-  /// Reset both fields of one granule to empty (the on_clear path).
-  void clear_granule(std::uintptr_t g);
 
   /// O(1) bulk clear: bump the epoch; stale pages read empty and reset
   /// lazily.  Degrades to a full release on epoch exhaustion.
@@ -212,6 +242,9 @@ class PackedShadow {
   static std::size_t page_index(std::uintptr_t g) {
     return page_key(g) & (kChunkPages - 1);
   }
+  static Payload decode_field(std::uint64_t field) {
+    return field == kFieldEmpty ? kEmpty : static_cast<Payload>(field);
+  }
   static std::uint64_t encode_field(Payload v) {
     if (v == kEmpty) return kFieldEmpty;
     RADER_CHECK_MSG(v <= kMaxPayload,
@@ -224,11 +257,15 @@ class PackedShadow {
 
   /// Slot value for `g`, or an all-empty slot when no current-epoch page
   /// covers it.  Never allocates.
-  std::uint64_t load_slot(std::uintptr_t g);
+  std::uint64_t load_slot(std::uintptr_t g) {
+    const std::uint64_t* run = peek_run(g);
+    return run == nullptr ? kEmptySlot : *run;
+  }
 
-  /// Exclusive current-epoch slot for `g`, allocating / un-sharing /
-  /// resetting the page as needed.
-  std::uint64_t* writable_slot(std::uintptr_t g);
+  /// writable_run(g) when a present, current-epoch page covers `g`, else
+  /// nullptr: absent and stale pages already read as empty, so clearing
+  /// never materializes a page just to store emptiness into it.
+  std::uint64_t* clearable_run(std::uintptr_t g);
 
   Chunk* find_chunk(std::uintptr_t key);
   Chunk* ensure_chunk(std::uintptr_t key);

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "reducers/monoid.hpp"
@@ -159,15 +160,30 @@ TEST(ParallelEngine, StealCountReported) {
     GTEST_SKIP() << "steals are not guaranteed on a single hardware thread";
   }
   ParallelEngine engine(4);
+  const std::thread::id root = std::this_thread::get_id();
+  std::atomic<bool> ran_elsewhere{false};
+  bool timed_out = false;
   engine.run([&] {
-    parallel_for<int>(0, 4096, [](int) {
-      for (int spin = 0; spin < 50; ++spin) {
-        asm volatile("" ::: "memory");
-      }
+    // Child stealing: the spawned child waits on the caller's deque while
+    // the continuation runs, so the continuation holds off the sync until
+    // a helper has stolen and run the child.  That makes a steal certain
+    // instead of likely; the bounded wait turns a scheduler that never
+    // steals into a failure rather than a hang.
+    spawn([&] {
+      if (std::this_thread::get_id() != root) ran_elsewhere.store(true);
     });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!ran_elsewhere.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        break;
+      }
+      std::this_thread::yield();
+    }
     sync();
   });
-  // With 4 workers and plenty of tasks, some steals should happen.
+  ASSERT_FALSE(timed_out) << "no helper stole the spawned child within 30 s";
   EXPECT_GT(engine.steal_count(), 0u);
 }
 
