@@ -204,19 +204,31 @@ class SweepMonitor {
 
 namespace sweep_internal {
 
-/// The steal query context is the recorded pre-merge context with the
+namespace {
+
+/// The decision `spec` takes at a continuation point whose pre-merge context
+/// is `ctx`.  The steal query context is the pre-merge context with the
 /// merges applied: post-merge live_epochs is exactly `pre - merges` (the
 /// engine's frame sync discipline guarantees nested Reduce frames restore
 /// the epoch stack).
+PointDecision decide(const spec::StealSpec& spec, const spec::PointCtx& ctx) {
+  PointDecision d{ctx, std::min(spec.merges_now(ctx), ctx.live_epochs), false};
+  spec::PointCtx after = ctx;
+  after.live_epochs -= d.merges;
+  d.stole = spec.steal(after);
+  return d;
+}
+
+bool same_decision(const PointDecision& a, const PointDecision& b) {
+  return a.merges == b.merges && a.stole == b.stole;
+}
+
+}  // namespace
+
 std::size_t divergence_depth(const spec::StealSpec& spec,
                              const DecisionTrail& trail) {
   for (std::size_t i = 0; i < trail.size(); ++i) {
-    const PointDecision& e = trail[i];
-    const std::uint32_t m = std::min(spec.merges_now(e.ctx), e.ctx.live_epochs);
-    if (m != e.merges) return i;
-    spec::PointCtx after = e.ctx;
-    after.live_epochs = e.ctx.live_epochs - m;
-    if (spec.steal(after) != e.stole) return i;
+    if (!same_decision(decide(spec, trail[i].ctx), trail[i])) return i;
   }
   return trail.size();
 }
@@ -233,26 +245,27 @@ SpecExecutor::SpecExecutor(
       // granule set (per-spec seed), so a resumed checkpoint would mix two
       // sample sets.
       prefix_(options.strategy == SweepStrategy::kPrefix &&
-              !options.sampling.enabled),
-      stride_(std::max(1u, options.checkpoint_stride)) {}
+              !options.sampling.enabled) {}
 
 SpecExecutor::~SpecExecutor() { drop_checkpoints(0); }
 
 /// Capture hook shared by fresh and resumed runs: snapshot the engine and
-/// fork the detector at (stride-thinned) continuation points.  Re-runs over
-/// a shared prefix skip points already covered by a live checkpoint.
-void SpecExecutor::on_point(std::size_t idx) {
-  if (idx < 1) return;
-  // Geometric spacing: the gap to the next checkpoint is at least `stride`
-  // and at least 1/8 of the current depth, so a run of n points takes
-  // O(log n) checkpoints and O(n) amortized fork work (a fork at point p
-  // costs O(p) detector state), while a divergence at depth d still resumes
-  // within ~d/8 of it.
-  const std::size_t base = ckpts_.empty() ? 0 : ckpts_.back().engine.point;
-  if (!ckpts_.empty() &&
-      idx < base + std::max<std::size_t>(stride_, base / 8)) {
-    return;
-  }
+/// fork the detector exactly where a later member will resume.  Specs are
+/// pure functions of the point context, so the members after cur_ are
+/// evaluated here, in family order.  A member j resumes at its first
+/// divergence from this run only if no member between cur_ and j diverged
+/// earlier (that member's run would then be j's trail); so the scan stops
+/// at the lowest member already seen to diverge, and a point is
+/// checkpointed when it is a new record low.
+void SpecExecutor::on_point(std::size_t idx, const spec::PointCtx& ctx) {
+  if (cur_ + 1 >= scan_end_) return;
+  const PointDecision mine = decide(*family_[cur_], ctx);
+  std::size_t j = cur_ + 1;
+  while (j < scan_end_ && same_decision(decide(*family_[j], ctx), mine)) ++j;
+  if (j == scan_end_) return;
+  scan_end_ = j;
+  // A resumed run's first live point already has its checkpoint.
+  if (!ckpts_.empty() && ckpts_.back().engine.point == idx) return;
   PrefixCheckpoint ck;
   eng_->capture(&ck.engine);
   ck.tool = cur_tool_->fork(nullptr);
@@ -265,7 +278,7 @@ void SpecExecutor::on_point(std::size_t idx) {
 }
 
 /// Every checkpoint counted in must be counted out, whichever of the three
-/// drop sites (divergence trim, fallback clear, executor destruction)
+/// drop sites (divergence trim, fallback, executor destruction)
 /// releases it — the folded gauge level is 0 once every executor is gone.
 void SpecExecutor::drop_checkpoints(std::size_t keep) {
   while (ckpts_.size() > keep) {
@@ -330,7 +343,11 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
   }
   *out = RaceLog();
   cur_out_ = out;
-  const auto hook = [this](std::size_t idx) { on_point(idx); };
+  cur_ = i;
+  scan_end_ = family_.size();
+  const auto hook = [this](std::size_t idx, const spec::PointCtx& ctx) {
+    on_point(idx, ctx);
+  };
   const std::uint64_t t0 = metrics::now_nanos();
   {
     metrics::PhaseTimer timer(metrics::Phase::kExecute);
@@ -360,13 +377,14 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
         // The re-executed prefix did not regenerate the checkpointed state
         // (go_live verification, serial_engine.hpp): the program is not an
         // address-stable pure function of the decisions, so its runs cannot
-        // share prefixes.  Degrade to rerun semantics for this member: drop
-        // every checkpoint (their forks describe executions this program
-        // cannot reproduce) and the possibly dirtied instance, and run the
-        // member fresh.  Correctness is preserved — only the speedup is
-        // lost — and the fallback is visible as kSweepResumeFallbacks in
-        // rader.report.
+        // share prefixes.  Degrade to rerun semantics for this member and
+        // every later one: drop every checkpoint (their forks describe
+        // executions this program cannot reproduce) and the possibly
+        // dirtied instance, take no more checkpoints, and run fresh.
+        // Correctness is preserved — only the speedup is lost — and the
+        // fallback is visible as kSweepResumeFallbacks in rader.report.
         metrics::bump(metrics::Counter::kSweepResumeFallbacks);
+        resumable_ = false;
         drop_checkpoints(0);
         *out = RaceLog();
         program_ = make_program_();
@@ -374,16 +392,16 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
       }
     }
     if (fresh) {
-      // No shared prefix survives (first member, divergence at the root,
-      // stride left no checkpoint this shallow, or a resume fallback):
-      // fresh run.
+      // No shared prefix survives (first member, no checkpoint at or before
+      // the divergence because this worker did not run the member that
+      // placed it, or a program that cannot resume): fresh run.
       trail_.clear();
       SpPlusDetector detector(out);
       SerialEngine engine(&detector, family_[i].get());
       eng_ = &engine;
       cur_tool_ = &detector;
       engine.set_decision_trail(&trail_);
-      engine.set_point_hook(hook);
+      if (resumable_) engine.set_point_hook(hook);
       prof::Phase detect_phase("detect");
       engine.run(program_);
     }

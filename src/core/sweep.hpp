@@ -44,18 +44,23 @@ enum class SweepStrategy {
   /// Prefix sharing: the family is treated as a trie keyed on the per-point
   /// steal decisions.  Each worker records the decision trail of its latest
   /// run and takes checkpoints (engine snapshot + Tool::fork of the detector
-  /// + race-log copy) along it; for the next member it computes — offline,
-  /// without executing anything — the first trail index where the new
-  /// specification decides differently, then fast-forwards from the deepest
-  /// checkpoint at or above that index (SerialEngine::resume_from), paying
-  /// detector cost only for the divergent suffix.  A member whose decisions
-  /// fully match the previous run reuses its log outright.  Lexicographic
-  /// families (spec::full_coverage_family and friends) are emitted in trie
-  /// DFS order, so ascending index order IS the trie schedule; workers claim
-  /// ascending chunks to keep neighbouring members on one worker.  The
-  /// merged result is byte-identical to kRerun at every thread count
-  /// (tests/core/sweep_equivalence_test); only SweepResult::metrics — which
-  /// measure work actually performed — differ.
+  /// + race-log copy) along it exactly at the points where a later family
+  /// member first decides differently (specs are pure functions of the
+  /// point context, so the run evaluates them as it goes); for the next
+  /// member it computes — offline, without executing anything — the first
+  /// trail index where the new specification decides differently, then
+  /// fast-forwards from the deepest checkpoint at or before that index
+  /// (SerialEngine::resume_from), paying detector cost only for the
+  /// divergent suffix.  After the first resume that fails verification
+  /// (a program that is not address-stable) the worker stops
+  /// checkpointing and runs every later member fresh.  A member whose
+  /// decisions fully match the previous run reuses its log outright.
+  /// Lexicographic families (spec::full_coverage_family and friends) are
+  /// emitted in trie DFS order, so ascending index order IS the trie
+  /// schedule; workers claim ascending chunks to keep neighbouring members
+  /// on one worker.  The merged result is byte-identical to kRerun at every
+  /// thread count (tests/core/sweep_equivalence_test); only
+  /// SweepResult::metrics — which measure work actually performed — differ.
   kPrefix,
 };
 
@@ -98,14 +103,6 @@ struct SweepOptions {
 
   /// Execution strategy (`rader --sweep-strategy=rerun|prefix`).
   SweepStrategy strategy = SweepStrategy::kRerun;
-
-  /// kPrefix only: minimum gap (in continuation points) between successive
-  /// checkpoints along a run, clamped to >= 1.  On top of this the gap
-  /// grows geometrically — at least 1/8 of the previous checkpoint's depth —
-  /// so a run of n points takes O(log n) checkpoints (bounded snapshot
-  /// memory and amortized O(n) fork work) while a divergence at depth d
-  /// still resumes within about d/8 of it.
-  unsigned checkpoint_stride = 1;
 
   /// Maximum number of SP+ executions (0 = the whole family).  Members past
   /// the budget are skipped, counted in SweepResult::specs_skipped — the

@@ -59,8 +59,13 @@ std::size_t divergence_depth(const spec::StealSpec& spec,
 /// prefix strategy needs (decision trail, checkpoint stack, last run's log)
 /// between calls.  One instance per worker thread / per sandbox child; the
 /// family, factory, and options must outlive it.  run() calls with
-/// ascending indices realize the prefix strategy's trie walk; any order is
-/// correct (each run is self-contained), just slower.
+/// ascending indices realize the prefix strategy's trie walk: while member i
+/// runs, the executor checkpoints exactly the points where a later member
+/// first decides differently, so each following member resumes right at its
+/// divergence.  Any order is correct (each run is self-contained), just
+/// slower.  After the first resume that fails verification the executor
+/// takes no more checkpoints: the program cannot resume, so every later
+/// member runs fresh.
 ///
 /// Sampling (options.sampling.enabled) forces rerun semantics internally —
 /// prefix checkpoints carry detector state across specs, and each spec
@@ -91,14 +96,14 @@ class SpecExecutor {
  private:
   RunOutcome run_rerun(std::size_t i, RaceLog* out);
   RunOutcome run_prefix(std::size_t i, RaceLog* out);
-  void on_point(std::size_t idx);
+  void on_point(std::size_t idx, const spec::PointCtx& ctx);
   void drop_checkpoints(std::size_t keep);
 
   const ProgramFactory& make_program_;
   const std::vector<std::unique_ptr<spec::StealSpec>>& family_;
   const SweepOptions& options_;
   const bool prefix_;
-  const unsigned stride_;
+  bool resumable_ = true;  // false after the first ResumeDiverged
 
   std::function<void()> program_;        // this executor's program instance
   DecisionTrail trail_;                  // decisions of the latest run
@@ -106,7 +111,10 @@ class SpecExecutor {
   RaceLog last_log_;                     // latest run's UNSTAMPED log
   bool has_last_ = false;
 
-  // Live-run plumbing for the point hook.
+  // Live-run plumbing for the point hook.  Members in (cur_, scan_end_)
+  // have not yet decided differently from the running member cur_.
+  std::size_t cur_ = 0;
+  std::size_t scan_end_ = 0;
   SerialEngine* eng_ = nullptr;
   Tool* cur_tool_ = nullptr;
   RaceLog* cur_out_ = nullptr;

@@ -20,9 +20,9 @@ void SerialEngine::resume_from(FnView root, const ResumePlan& plan) {
   RADER_CHECK_MSG(plan.replay != nullptr, "resume plan without a trail");
   RADER_CHECK_MSG(plan.replay_count <= plan.replay->size(),
                   "resume plan replays beyond its trail");
-  // live_from == 0 would mean "deliver everything", i.e. a fresh run whose
-  // tool must receive on_run_begin — call run() for that.
-  RADER_CHECK_MSG(plan.live_from >= 1 && plan.live_from <= plan.replay_count,
+  // Even at live_from == 0 the events before the first point are
+  // suppressed: the fork already holds them (and on_run_begin's reset).
+  RADER_CHECK_MSG(plan.live_from <= plan.replay_count,
                   "resume plan live_from out of range");
   replay_ = plan.replay;
   replay_count_ = plan.replay_count;
@@ -285,7 +285,6 @@ void SerialEngine::continuation_point() {
   if (spec_ == nullptr && replay_ == nullptr) return;
   const std::size_t idx = point_index_++;
   if (!live_ && idx == live_from_) go_live(idx);
-  if (live_ && point_hook_) point_hook_(idx);
 
   spec::PointCtx ctx;
   {
@@ -296,6 +295,7 @@ void SerialEngine::continuation_point() {
     ctx.spawn_depth = parent.as + parent.ls;
     ctx.live_epochs = live_epochs(parent);
   }
+  if (live_ && point_hook_) point_hook_(idx, ctx);
 
   // Reduce operations the specification wants *before* the steal decision:
   // this is how a spec shapes the reduce tree (Theorem 7 construction).

@@ -115,7 +115,7 @@ class SerialEngine final : public Engine {
   /// `replay[0, replay_count)` instead of consulting the specification, and
   /// deliver tool callbacks only from continuation point `live_from` on
   /// (the point the detector fork was checkpointed at).  Requires
-  /// 1 <= live_from <= replay_count; the attached tool must be a fork
+  /// live_from <= replay_count; the attached tool must be a fork
   /// captured at point `live_from` of an execution whose decisions match
   /// `replay` (Tool::fork).  `expect`, when given, is verified against the
   /// regenerated engine state the moment point `live_from` begins.
@@ -156,8 +156,10 @@ class SerialEngine final : public Engine {
 
   /// Hook invoked at the start of every continuation point whose events are
   /// live (always, for run(); from `live_from` on, for resume_from()) with
-  /// the point index — the window where capture() may be called.
-  void set_point_hook(std::function<void(std::size_t)> hook) {
+  /// the point index and the context the specification is consulted with
+  /// (before the point's merges) — the window where capture() may be called.
+  void set_point_hook(
+      std::function<void(std::size_t, const spec::PointCtx&)> hook) {
     point_hook_ = std::move(hook);
   }
 
@@ -230,7 +232,7 @@ class SerialEngine final : public Engine {
   bool running_ = false;
   // Checkpoint/resume state (run() resets to the pass-through defaults).
   DecisionTrail* trail_ = nullptr;
-  std::function<void(std::size_t)> point_hook_;
+  std::function<void(std::size_t, const spec::PointCtx&)> point_hook_;
   const DecisionTrail* replay_ = nullptr;
   std::size_t replay_count_ = 0;
   std::size_t live_from_ = 0;

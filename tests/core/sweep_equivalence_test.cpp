@@ -37,6 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "apps/graph.hpp"
+#include "apps/pbfs.hpp"
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
 #include "dag/random_program.hpp"
@@ -256,6 +258,98 @@ TEST(SweepStrategyEquivalence, StopFirstByteIdenticalAtEveryJobCount) {
   EXPECT_GE(stopped_early, kPrograms / 2);
 }
 
+// ---- Checkpoint placement --------------------------------------------------
+//
+// The prefix executor checkpoints exactly where a later family member first
+// decides differently from the running one, so every member an executor runs
+// after its first resumes from a checkpoint: none starts from scratch.
+
+/// Executed members that started from scratch instead of resuming.
+std::uint64_t fresh_runs(const SweepResult& result) {
+  const metrics::Snapshot& m = result.metrics;
+  return result.spec_runs - m.counter(metrics::Counter::kSweepDedupReuses) -
+         m.counter(metrics::Counter::kSweepForks);
+}
+
+int g_slab[64];
+
+/// Detector work concentrated before the first continuation point: the
+/// first spawned child writes a slab, the K-1 later spawns do nothing.  The
+/// slab is the program's only access, and it reaches a detector only in a
+/// run that starts from scratch.
+struct FrontLoaded {
+  static constexpr std::uint64_t kSlab = sizeof(g_slab) / sizeof(g_slab[0]);
+  int k;
+
+  void operator()() const {
+    spawn([] {
+      for (int& slot : g_slab) {
+        shadow_write(&slot, sizeof(int), SrcTag{"front slab"});
+      }
+    });
+    for (int i = 1; i < k; ++i) spawn([] {});
+    sync();
+  }
+};
+
+TEST(SweepPrefixPlacement, EveryExecutedMemberAfterTheFirstResumes) {
+  SweepOptions options;
+  options.strategy = SweepStrategy::kPrefix;
+  std::uint64_t forks = 0;
+  for (int seed = 1; seed <= program_count(); ++seed) {
+    const SeededProgram program{static_cast<std::uint64_t>(seed)};
+    const SweepResult result = sweep_family(
+        shared_program([program] { program(); }), family_for(program),
+        options);
+    const metrics::Snapshot& m = result.metrics;
+    ASSERT_EQ(fresh_runs(result), 1u) << "seed " << seed;
+    ASSERT_EQ(m.counter(metrics::Counter::kSweepResumeFallbacks), 0u)
+        << "seed " << seed;
+    // No speculative checkpoints: each one is where some member resumes.
+    ASSERT_LE(m.counter(metrics::Counter::kSweepCheckpoints),
+              m.counter(metrics::Counter::kSweepForks))
+        << "seed " << seed;
+    forks += m.counter(metrics::Counter::kSweepForks);
+  }
+  EXPECT_GT(forks, 0u);
+}
+
+TEST(SweepPrefixPlacement, FrontLoadedSlabReachesADetectorOncePerExecutor) {
+  const FrontLoaded program{12};
+  const auto family = spec::reduce_coverage_family(12);
+  const auto sweep = [&](SweepStrategy strategy, unsigned threads) {
+    SweepOptions options;
+    options.strategy = strategy;
+    options.threads = threads;
+    return sweep_family(shared_program([program] { program(); }), family,
+                        options);
+  };
+  const auto slab_runs = [](const SweepResult& result) {
+    const std::uint64_t accesses =
+        result.metrics.counter(metrics::Counter::kAccessesInstrumented);
+    EXPECT_EQ(accesses % FrontLoaded::kSlab, 0u);
+    return accesses / FrontLoaded::kSlab;
+  };
+  // Rerun delivers the slab once per member: the slab is all that counts.
+  EXPECT_EQ(slab_runs(sweep(SweepStrategy::kRerun, 1)), family.size());
+
+  const SweepResult one = sweep(SweepStrategy::kPrefix, 1);
+  EXPECT_EQ(fresh_runs(one), 1u);
+  EXPECT_EQ(slab_runs(one), 1u);
+  EXPECT_GT(one.metrics.counter(metrics::Counter::kSweepForks),
+            family.size() / 2);
+  EXPECT_LE(one.metrics.counter(metrics::Counter::kSweepCheckpoints),
+            one.metrics.counter(metrics::Counter::kSweepForks));
+  for (const unsigned threads : {2u, 4u}) {
+    // Each executor's first run checkpoints at the shallowest divergence of
+    // any later member, so its later members all resume.
+    const SweepResult many = sweep(SweepStrategy::kPrefix, threads);
+    EXPECT_EQ(many.spec_runs, family.size());
+    EXPECT_LE(fresh_runs(many), threads) << threads << " threads";
+    EXPECT_EQ(slab_runs(many), fresh_runs(many)) << threads << " threads";
+  }
+}
+
 // ---- Normalized equivalence on heap/view-racing programs -------------------
 //
 // RandomProgram instances race on their own heap pools and (with raw-view
@@ -328,9 +422,49 @@ SigMap signatures(const RaceLog& log, const Instances& instances) {
   return sigs;
 }
 
+// Prefix sweeps of these programs also exercise the sticky resume fallback.
+// A program whose heap layout drifts between runs fails resume verification
+// (ResumeDiverged).  After its first failed resume an executor takes no more
+// checkpoints and runs every later member fresh: at most one fallback per
+// executor, the same answer as rerun, and every checkpoint counted out.
+
+struct ExhaustiveSweep {
+  Rader::ExhaustiveResult result;
+  metrics::Snapshot metrics;
+};
+
+ExhaustiveSweep exhaustive(const ProgramFactory& factory,
+                           SweepStrategy strategy, unsigned threads) {
+  SweepOptions options;
+  options.threads = threads;
+  options.strategy = strategy;
+  metrics::Registry registry;
+  ExhaustiveSweep out;
+  {
+    metrics::Scope scope(&registry);
+    out.result = Rader::check_exhaustive(factory, options, /*k_cap=*/6,
+                                         /*depth_cap=*/8);
+  }
+  out.metrics = registry.snapshot();
+  return out;
+}
+
+/// The sticky-fallback bounds on one prefix sweep; returns its fallbacks.
+std::uint64_t expect_sticky(const ExhaustiveSweep& sweep, unsigned threads,
+                            const std::string& what) {
+  const std::uint64_t fallbacks =
+      sweep.metrics.counter(metrics::Counter::kSweepResumeFallbacks);
+  EXPECT_LE(fallbacks, threads) << what;
+  EXPECT_EQ(sweep.metrics.gauge(metrics::Gauge::kSweepCheckpointsLive).value,
+            0)
+      << what;
+  return fallbacks;
+}
+
 TEST(SweepStrategyEquivalence, PrefixMatchesRerunOnRandomHeapPrograms) {
   const int kPrograms = std::max(10, program_count() / 5);
   int racy = 0;
+  std::uint64_t fallbacks = 0;
   for (int seed = 1; seed <= kPrograms; ++seed) {
     dag::RandomProgramParams params;
     params.seed = static_cast<std::uint64_t>(seed);
@@ -344,27 +478,43 @@ TEST(SweepStrategyEquivalence, PrefixMatchesRerunOnRandomHeapPrograms) {
     params.p_update_shared = 0.10;
 
     auto base_instances = std::make_shared<Instances>();
-    const auto base =
-        Rader::check_exhaustive(tracking_factory(params, base_instances),
-                                SweepOptions{}, /*k_cap=*/6, /*depth_cap=*/8);
-    const auto base_sigs = signatures(base.log, *base_instances);
-    racy += base.log.any();
+    const ExhaustiveSweep base =
+        exhaustive(tracking_factory(params, base_instances),
+                   SweepStrategy::kRerun, 1);
+    const auto base_sigs = signatures(base.result.log, *base_instances);
+    racy += base.result.log.any();
 
-    for (const unsigned threads : {1u, 4u}) {
-      SweepOptions options;
-      options.threads = threads;
-      options.strategy = SweepStrategy::kPrefix;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const std::string what = "seed " + std::to_string(seed) + ", " +
+                               std::to_string(threads) + " thread(s)";
       auto instances = std::make_shared<Instances>();
-      const auto result =
-          Rader::check_exhaustive(tracking_factory(params, instances), options,
-                                  /*k_cap=*/6, /*depth_cap=*/8);
-      ASSERT_EQ(result.spec_runs, base.spec_runs)
-          << "seed " << seed << ", " << threads << " thread(s)";
-      ASSERT_EQ(signatures(result.log, *instances), base_sigs)
-          << "seed " << seed << ", " << threads << " thread(s)";
+      const ExhaustiveSweep prefix = exhaustive(
+          tracking_factory(params, instances), SweepStrategy::kPrefix,
+          threads);
+      ASSERT_EQ(prefix.result.spec_runs, base.result.spec_runs) << what;
+      ASSERT_EQ(signatures(prefix.result.log, *instances), base_sigs) << what;
+      fallbacks += expect_sticky(prefix, threads, what);
     }
   }
   EXPECT_GE(racy, kPrograms / 10);
+  EXPECT_GT(fallbacks, 0u) << "the corpus must exercise the fallback";
+}
+
+TEST(SweepResumeFallback, StickyOnPbfs) {
+  // pbfs allocates its bags per run, so resumed runs drift off the
+  // checkpointed access stream and every resume fails verification.
+  const apps::Graph graph = apps::Graph::rmat(300, 1900, 0x9bf5);
+  const ProgramFactory factory =
+      shared_program([&graph] { (void)apps::pbfs(graph, 0); });
+  const ExhaustiveSweep base = exhaustive(factory, SweepStrategy::kRerun, 1);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const std::string what = std::to_string(threads) + " thread(s)";
+    const ExhaustiveSweep prefix =
+        exhaustive(factory, SweepStrategy::kPrefix, threads);
+    EXPECT_EQ(prefix.result.log.to_json(), base.result.log.to_json()) << what;
+    EXPECT_EQ(prefix.result.spec_runs, base.result.spec_runs) << what;
+    EXPECT_GE(expect_sticky(prefix, threads, what), 1u) << what;
+  }
 }
 
 }  // namespace

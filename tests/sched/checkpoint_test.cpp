@@ -14,6 +14,7 @@
 // These tests check both promises directly, without the sweep in between.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -112,7 +113,7 @@ void run_straight(const ToolFactory& make, const spec::StealSpec& spec,
   std::unique_ptr<Tool> tool = make(&out->log);
   SerialEngine engine(tool.get(), &spec);
   engine.set_decision_trail(&out->trail);
-  engine.set_point_hook([&](std::size_t idx) {
+  engine.set_point_hook([&](std::size_t idx, const spec::PointCtx&) {
     if (idx != depth || out->captured) return;
     engine.capture(&out->ck);
     out->ck_tool = tool->fork(nullptr);
@@ -216,6 +217,101 @@ TEST(EngineCheckpoint, CheckpointCapturesReducerViewMap) {
   EXPECT_FALSE(straight.ck.frames.empty());
   EXPECT_GT(straight.ck.stats.frames, 0u);
   EXPECT_EQ(straight.ck.point, 4u);
+}
+
+void expect_ctx_equal(const spec::PointCtx& got, const spec::PointCtx& want,
+                      std::size_t idx) {
+  EXPECT_EQ(got.frame, want.frame) << "point " << idx;
+  EXPECT_EQ(got.sync_block, want.sync_block) << "point " << idx;
+  EXPECT_EQ(got.cont_index, want.cont_index) << "point " << idx;
+  EXPECT_EQ(got.spawn_depth, want.spawn_depth) << "point " << idx;
+  EXPECT_EQ(got.live_epochs, want.live_epochs) << "point " << idx;
+}
+
+/// Steals everywhere and merges at each block's second continuation, so a
+/// context read after the merges would differ in live_epochs.
+class StealAndMerge final : public spec::StealSpec {
+ public:
+  bool steal(const spec::PointCtx&) const override { return true; }
+  std::uint32_t merges_now(const spec::PointCtx& ctx) const override {
+    return ctx.cont_index == 1 ? 1 : 0;
+  }
+  std::string describe() const override { return "steal-and-merge"; }
+};
+
+TEST(EngineCheckpoint, PointHookSeesTheRecordedContext) {
+  // The prefix sweep evaluates later family members on the context the hook
+  // receives, so it must be exactly the one the specification is consulted
+  // with (before the point's merges) — at every live point of fresh and
+  // resumed runs alike.
+  StealAndMerge merging;
+  StraightRun straight;
+  run_straight(detector_factories().front().make, merging, 2, &straight);
+  ASSERT_TRUE(straight.captured);
+  const DecisionTrail& trail = straight.trail;
+  ASSERT_GE(trail.size(), 6u);
+  ASSERT_TRUE(std::any_of(trail.begin(), trail.end(),
+                          [](const PointDecision& d) { return d.merges > 0; }))
+      << "the spec must merge somewhere";
+
+  struct Seen {
+    std::size_t idx;
+    spec::PointCtx ctx;
+  };
+  const auto record = [](std::vector<Seen>* seen) {
+    return [seen](std::size_t idx, const spec::PointCtx& ctx) {
+      seen->push_back({idx, ctx});
+    };
+  };
+  const auto expect_matches = [&](const std::vector<Seen>& seen,
+                                  std::size_t live_from) {
+    ASSERT_EQ(seen.size(), trail.size() - live_from);
+    for (std::size_t n = 0; n < seen.size(); ++n) {
+      ASSERT_EQ(seen[n].idx, live_from + n);
+      expect_ctx_equal(seen[n].ctx, trail[seen[n].idx].ctx, seen[n].idx);
+    }
+  };
+
+  std::vector<Seen> fresh;
+  {
+    RaceLog log;
+    SpPlusDetector detector(&log);
+    SerialEngine engine(&detector, &merging);
+    engine.set_point_hook(record(&fresh));
+    engine.run([] { checkpoint_program(); });
+  }
+  expect_matches(fresh, 0);
+
+  std::vector<Seen> resumed;
+  {
+    RaceLog log = straight.ck_log;
+    std::unique_ptr<Tool> tool = straight.ck_tool->fork(&log);
+    SerialEngine engine(tool.get(), &merging);
+    engine.set_point_hook(record(&resumed));
+    SerialEngine::ResumePlan plan;
+    plan.replay = &trail;
+    plan.replay_count = trail.size();
+    plan.live_from = straight.ck.point;
+    plan.expect = &straight.ck;
+    engine.resume_from([] { checkpoint_program(); }, plan);
+  }
+  expect_matches(resumed, straight.ck.point);
+}
+
+TEST(EngineCheckpoint, ResumeGoesLiveAtTheFirstPoint) {
+  // A checkpoint at point 0 holds everything before the first continuation;
+  // resuming there delivers only the rest.
+  spec::StealAll all;
+  for (const auto& factory : detector_factories()) {
+    StraightRun straight;
+    run_straight(factory.make, all, 0, &straight);
+    ASSERT_TRUE(straight.captured) << factory.name;
+    ASSERT_EQ(straight.ck.point, 0u) << factory.name;
+    SerialEngine::Stats resumed_stats;
+    const RaceLog resumed = run_resumed(straight, all, &resumed_stats);
+    EXPECT_EQ(resumed.to_json(), straight.log.to_json()) << factory.name;
+    expect_stats_equal(resumed_stats, straight.stats, factory.name);
+  }
 }
 
 TEST(DetectorFork, ForkedDetectorIsIndependentOfTheOriginal) {
