@@ -19,6 +19,13 @@
 // The extent offsets are recorded only by the packed backend (the legacy
 // slots have no room); callers must treat them as diagnostics, never as
 // report inputs — see the granularity regression tests.
+//
+// check_access is the race check and shadow update behind every
+// detector's access, and the hot path.  Under kPacked it walks a page-run as
+// maximal runs of identical 64-bit slots: one decision, one encode and one
+// fill per run, with reports still made per granule.  Under kLegacy it is
+// a plain per-granule loop.  tests/shadow/access_walk_test.cpp holds both
+// to a per-granule reference.
 #pragma once
 
 #include <algorithm>
@@ -136,11 +143,16 @@ class AccessShadow {
   /// detector.accesses_instrumented and the access-bytes histogram.
   ///
   /// Under kPacked the walk goes one page-run at a time (peek_run, then
-  /// writable_run once a store is due) and classifies a (reader, writer)
-  /// pair once for as long as consecutive granules repeat it, so a
-  /// multi-byte access by one strand pays one disjoint-set find, not one
-  /// per granule.  Under kLegacy every granule is classified afresh, which
-  /// makes the encoding-equivalence battery a check of that memo too.
+  /// writable_run once a store is due) and splits each page-run into
+  /// maximal runs of identical slots.  A run is decided once (memoized on
+  /// its (reader, writer) pair, so a next run that differs only in offsets
+  /// reuses the decision), reports per granule when it races, and is
+  /// stored with one fill.  Every granule of a run gets the same new slot
+  /// except the access's first granule, the only one whose extent offset
+  /// can be non-zero.  So a multi-byte access by one strand pays one
+  /// disjoint-set find and one fill, not one of each per granule.  Under
+  /// kLegacy every granule is classified afresh, which makes the
+  /// encoding-equivalence battery a check of that memo too.
   template <class Classify, class Report>
   void check_access(bool is_write, std::uintptr_t addr, std::size_t size,
                     unsigned granule_bits, Payload cur, Classify&& classify,
@@ -157,9 +169,34 @@ class AccessShadow {
              (vw.races ? kWriterRaces : 0u) |
              ((is_write ? vw : vr).replace ? kReplace : 0u);
     };
-    const bool packed = enc_ == SlotEncoding::kPacked;
     const std::uintptr_t first = addr >> granule_bits;
     const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits;
+    // The first byte of THIS access within h (the byte itself when
+    // granule_bits=0), so distinct races inside one granule keep distinct
+    // dedup identities; its offset is stored as the extent.
+    const auto first_byte = [&](std::uintptr_t h) {
+      return h == first ? addr : h << granule_bits;
+    };
+    if (enc_ == SlotEncoding::kLegacy) {
+      for (std::uintptr_t h = first;; ++h) {
+        const Payload r = legacy_reader_.get(h);
+        const Payload w = legacy_writer_.get(h);
+        const unsigned d = decide(r, w);
+        if (d & kReaderRaces) report(h, first_byte(h), r, false);
+        if (d & kWriterRaces) report(h, first_byte(h), w, true);
+        if (d & kReplace) {
+          (is_write ? legacy_writer_ : legacy_reader_).set(h, cur);
+        }
+        if (h == last) break;
+      }
+      return;
+    }
+    const auto store = [&](std::uint64_t slot, unsigned off) {
+      return is_write ? PackedShadow::with_writer(slot, cur, off)
+                      : PackedShadow::with_reader(slot, cur, off);
+    };
+    const auto first_off =
+        static_cast<unsigned>(addr - (first << granule_bits));
     std::uint64_t memo_pair = ~std::uint64_t{0};  // matches no masked slot
     unsigned memo = 0;
     // One page-run per pass; stop after the run holding `last`, which may
@@ -167,34 +204,38 @@ class AccessShadow {
     for (std::uintptr_t g = first;;) {
       const std::uintptr_t end =
           std::min(last, g | (PackedShadow::kPageSlots - 1));
-      const std::uint64_t* in = packed ? packed_.peek_run(g) : nullptr;
+      const std::size_t n = end - g + 1;
+      const std::uint64_t* in = packed_.peek_run(g);
       std::uint64_t* out = nullptr;
-      for (std::uintptr_t h = g;; ++h) {
-        const std::uint64_t slot =
-            in == nullptr ? PackedShadow::kEmptySlot : in[h - g];
-        const Payload r = packed ? PackedShadow::reader_of(slot) : reader(h);
-        const Payload w = packed ? PackedShadow::writer_of(slot) : writer(h);
-        if (!packed || (slot & PackedShadow::kPairMask) != memo_pair) {
+      for (std::size_t i = 0; i < n;) {
+        // Slots [i, j) of the page-run are one maximal run equal to `slot`.
+        const std::uint64_t slot = in == nullptr ? PackedShadow::kEmptySlot
+                                                 : in[i];
+        std::size_t j = in == nullptr ? n : i + 1;
+        while (j < n && in[j] == slot) ++j;
+        if ((slot & PackedShadow::kPairMask) != memo_pair) {
           memo_pair = slot & PackedShadow::kPairMask;
-          memo = decide(r, w);
+          memo = decide(PackedShadow::reader_of(slot),
+                        PackedShadow::writer_of(slot));
         }
-        // The first byte of THIS access within h (the byte itself when
-        // granule_bits=0), so distinct races inside one granule keep
-        // distinct dedup identities; its offset is stored as the extent.
-        const std::uintptr_t b = h == first ? addr : h << granule_bits;
-        if (memo & kReaderRaces) report(h, b, r, false);
-        if (memo & kWriterRaces) report(h, b, w, true);
-        if (memo & kReplace) {
-          const auto off = static_cast<unsigned>(b - (h << granule_bits));
-          if (!packed) {
-            is_write ? set_writer(h, cur, off) : set_reader(h, cur, off);
-          } else {
-            if (out == nullptr) in = out = packed_.writable_run(g);
-            out[h - g] = is_write ? PackedShadow::with_writer(slot, cur, off)
-                                  : PackedShadow::with_reader(slot, cur, off);
+        if (memo & (kReaderRaces | kWriterRaces)) {
+          const Payload r = PackedShadow::reader_of(slot);
+          const Payload w = PackedShadow::writer_of(slot);
+          for (std::size_t x = i; x < j; ++x) {
+            const std::uintptr_t h = g + x;
+            if (memo & kReaderRaces) report(h, first_byte(h), r, false);
+            if (memo & kWriterRaces) report(h, first_byte(h), w, true);
           }
         }
-        if (h == end) break;
+        if (memo & kReplace) {
+          if (out == nullptr) in = out = packed_.writable_run(g);
+          std::size_t from = i;
+          if (g + i == first && first_off != 0) {
+            out[from++] = store(slot, first_off);
+          }
+          std::fill(out + from, out + j, store(slot, 0));
+        }
+        i = j;
       }
       if (end == last) break;
       g = end + 1;

@@ -58,9 +58,10 @@ class Tool {
   /// reports to `log` (may be nullptr for a frozen snapshot that is only
   /// ever re-forked, never fed events).  Mutating either side after the
   /// fork never affects the other: forks share shadow pages copy-on-write
-  /// (shadow::ShadowSpace::fork) but nothing mutable.  This is the detector
-  /// half of the prefix-sharing sweep's checkpoints (core/sweep.hpp).
-  /// Default: forking unsupported; returns nullptr.
+  /// (shadow::AccessShadow::fork, over PackedShadow::fork) but nothing
+  /// mutable.  This is the detector half of the prefix-sharing sweep's
+  /// checkpoints (core/sweep.hpp).  Default: forking unsupported; returns
+  /// nullptr.
   virtual std::unique_ptr<Tool> fork(RaceLog* log) const {
     (void)log;
     return nullptr;
@@ -182,10 +183,11 @@ class ParallelTool : public Tool {
  public:
   /// Opt in to kAccess / kClear shard events.  When false (the default) the
   /// engine's access() / clear_shadow() hooks stay near-free.  Recorded
-  /// accesses are deduplicated per worker strand via a private
-  /// shadow::ShadowSpace shard: at least one event per (strand, location,
-  /// kind) is delivered, but same-strand repeats may be dropped — exact
-  /// multiplicity is not preserved.
+  /// accesses are deduplicated per worker strand via the engine's private
+  /// per-worker shadow::ShadowSpace (a dedup map, not a detector shadow):
+  /// at least one event per (strand, location, kind) is delivered, but
+  /// same-strand repeats may be dropped — exact multiplicity is not
+  /// preserved.
   virtual bool wants_accesses() const { return false; }
 };
 

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -294,6 +295,214 @@ TEST_P(AccessWalk, MatchesThePerGranuleReference) {
 
 INSTANTIATE_TEST_SUITE_P(GranuleBits, AccessWalk,
                          ::testing::Values(0u, 1u, 2u, 3u));
+
+// ---- Edge cases of the uniform-run walk ------------------------------------
+//
+// Hand-built streams for the corners a random stream reaches only by luck:
+// a run whose first granule alone carries an extent offset, runs that differ
+// only in that offset, a racing run, and runs crossing into absent, stale
+// and fork-shared pages.  Each is held to the per-granule reference exactly
+// as the battery above holds a random stream.
+
+/// A salt under which verdict_of gives each listed prior the listed verdict.
+std::uint64_t salt_where(
+    std::initializer_list<std::pair<Payload, AccessShadow::Verdict>> want) {
+  for (std::uint64_t salt = 1;; ++salt) {
+    bool ok = true;
+    for (const auto& [prior, v] : want) {
+      const AccessShadow::Verdict got = verdict_of(prior, salt);
+      ok = ok && got.races == v.races && got.replace == v.replace;
+    }
+    if (ok) return salt;
+  }
+}
+
+constexpr AccessShadow::Verdict kSeries{false, true};
+constexpr AccessShadow::Verdict kParallelKept{true, false};
+constexpr AccessShadow::Verdict kParallelReplaced{true, true};
+
+/// The reference, the walk and the legacy walk driven by the same ops.
+struct Sides {
+  Side ref{Side::Mode::kReference};
+  Side walk{Side::Mode::kWalk};
+  Side legacy{Side::Mode::kLegacyWalk};
+
+  void apply(const std::vector<Op>& ops, unsigned gb) {
+    for (const Op& op : ops) {
+      ref.apply(op, gb);
+      walk.apply(op, gb);
+      legacy.apply(op, gb);
+    }
+  }
+
+  /// What the battery requires: equal slots over granules [lo, hi], equal
+  /// report sequences and JSON, equal page counters.
+  void expect_agree(std::uintptr_t lo, std::uintptr_t hi) {
+    for (std::uintptr_t g = lo;; ++g) {
+      ASSERT_EQ(raw_slot(walk.shadow.packed_for_testing(), g),
+                raw_slot(ref.shadow.packed_for_testing(), g))
+          << "granule " << g;
+      ASSERT_EQ(legacy.shadow.reader(g), ref.shadow.reader(g)) << g;
+      ASSERT_EQ(legacy.shadow.writer(g), ref.shadow.writer(g)) << g;
+      if (g == hi) break;
+    }
+    EXPECT_EQ(walk.reports, ref.reports);
+    EXPECT_EQ(legacy.reports, ref.reports);
+    EXPECT_EQ(walk.log.to_json(), ref.log.to_json());
+    EXPECT_EQ(legacy.log.to_json(), ref.log.to_json());
+    for (const auto c : {metrics::Counter::kShadowPagesTouched,
+                         metrics::Counter::kShadowPagesCoW,
+                         metrics::Counter::kShadowPageResets}) {
+      EXPECT_EQ(walk.counter(c), ref.counter(c)) << metrics::counter_name(c);
+    }
+  }
+};
+
+class AccessWalkOffset : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(AccessWalkOffset, OnlyTheFirstGranuleOfAUniformRunCarriesAnOffset) {
+  const unsigned gb = GetParam();
+  const std::uintptr_t g0 = kPageGranules + 40;
+  const std::size_t span = 10 << gb;
+  const std::uint64_t salt = salt_where({{5, kSeries}});
+  Sides sides;
+  // An aligned write leaves ten identical slots; a read starting one byte
+  // into the first of them then covers them as one run.
+  sides.apply({Op{OpKind::kWrite, g0 << gb, span, 5, salt},
+               Op{OpKind::kRead, (g0 << gb) + 1, span - 1, 7, salt}},
+              gb);
+  sides.expect_agree(g0 - 1, g0 + 10);
+  AccessShadow& s = sides.walk.shadow;
+  EXPECT_EQ(s.reader(g0), 7u);
+  EXPECT_EQ(s.reader_offset(g0), 1u);
+  PackedShadow& p = s.packed_for_testing();
+  for (std::uintptr_t g = g0 + 1; g < g0 + 10; ++g) {
+    EXPECT_EQ(raw_slot(p, g), raw_slot(p, g0 + 1)) << g;
+    EXPECT_EQ(s.reader_offset(g), 0u) << g;
+  }
+  EXPECT_EQ(raw_slot(p, g0) & PackedShadow::kPairMask,
+            raw_slot(p, g0 + 1) & PackedShadow::kPairMask)
+      << "the first slot differs from the rest in its offset only";
+}
+
+INSTANTIATE_TEST_SUITE_P(GranuleBits, AccessWalkOffset,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(AccessWalkEdge, RunsBrokenOnlyByAnOffsetShareOneDecision) {
+  const unsigned gb = 2;
+  const std::uintptr_t g0 = 3 * kPageGranules + 8;
+  const std::uint64_t quiet = salt_where({{5, kSeries}});
+  const std::uint64_t racy = salt_where({{5, kParallelReplaced}});
+  // [g0, g0+8] hold writer 5; the second write re-records g0+4 with offset
+  // 1, so all nine slots hold one pair but form three runs.  The third
+  // write races with that writer on every granule.
+  const std::vector<Op> ops = {
+      Op{OpKind::kWrite, g0 << gb, 9 << gb, 5, quiet},
+      Op{OpKind::kWrite, ((g0 + 4) << gb) + 1, (5 << gb) - 1, 5, quiet},
+      Op{OpKind::kWrite, g0 << gb, 9 << gb, 6, racy}};
+  Sides sides;
+  sides.apply({ops[0], ops[1]}, gb);
+  PackedShadow& p = sides.walk.shadow.packed_for_testing();
+  ASSERT_NE(raw_slot(p, g0 + 4), raw_slot(p, g0 + 3));
+  ASSERT_EQ(raw_slot(p, g0 + 4) & PackedShadow::kPairMask,
+            raw_slot(p, g0 + 3) & PackedShadow::kPairMask);
+
+  // Three runs, one pair: the walk classifies the writer once.
+  AccessShadow probe(SlotEncoding::kPacked);
+  for (const Op& op : {ops[0], ops[1]}) {
+    probe.check_access(
+        true, op.addr, op.size, gb, op.cur,
+        [&](Payload prior) { return verdict_of(prior, op.salt); },
+        [](std::uintptr_t, std::uintptr_t, Payload, bool) {});
+  }
+  int classified = 0;
+  std::vector<std::uintptr_t> reported;
+  probe.check_access(
+      true, ops[2].addr, ops[2].size, gb, ops[2].cur,
+      [&](Payload prior) {
+        ++classified;
+        return verdict_of(prior, racy);
+      },
+      [&](std::uintptr_t g, std::uintptr_t, Payload prior, bool was_write) {
+        EXPECT_EQ(prior, 5u);
+        EXPECT_TRUE(was_write);
+        reported.push_back(g);
+      });
+  EXPECT_EQ(classified, 1);
+  EXPECT_EQ(reported.size(), 9u) << "one report per granule of all three runs";
+
+  sides.apply({ops[2]}, gb);
+  sides.expect_agree(g0 - 1, g0 + 9);
+}
+
+TEST(AccessWalkEdge, ARacingRunReportsEveryGranuleReaderFirst) {
+  const unsigned gb = 0;
+  const std::uintptr_t g0 = kChunkGranules + 16;
+  const std::uint64_t quiet = salt_where({{3, kSeries}});
+  const std::uint64_t racy =
+      salt_where({{3, kParallelReplaced}, {4, kParallelKept}});
+  Sides sides;
+  sides.apply({Op{OpKind::kWrite, g0, 8, 3, quiet},
+               Op{OpKind::kRead, g0, 8, 4, quiet},
+               Op{OpKind::kWrite, g0, 8, 6, racy}},
+              gb);
+  sides.expect_agree(g0 - 1, g0 + 8);
+  std::vector<Report> want;
+  for (std::uintptr_t g = g0; g < g0 + 8; ++g) {
+    want.push_back({g, g, 4, false});
+    want.push_back({g, g, 3, true});
+  }
+  EXPECT_EQ(sides.walk.reports, want);
+  EXPECT_EQ(sides.walk.shadow.writer(g0 + 7), 6u);
+  EXPECT_EQ(sides.walk.shadow.reader(g0 + 7), 4u);
+}
+
+TEST(AccessWalkEdge, RunsCrossIntoAbsentStaleAndForkSharedPages) {
+  const unsigned gb = 1;
+  const std::uintptr_t p1 = 4 * kPageGranules;  // first granule of a page
+  const std::uint64_t salt = salt_where({{1, kSeries}, {2, kSeries}});
+  const auto write = [&](std::uintptr_t g, std::uintptr_t n, Payload cur) {
+    return Op{OpKind::kWrite, g << gb, n << gb, cur, salt};
+  };
+  Sides sides;
+  // Absent: the page before the boundary holds a uniform run, the one
+  // after it has never been written.
+  sides.apply({write(p1 - 16, 16, 1), write(p1 - 8, 16, 2)}, gb);
+  sides.expect_agree(p1 - 17, p1 + 9);
+  // Stale: both pages are mapped, then cleared by epoch, then the lower
+  // one is rewritten, so the run crosses from a current page to a stale one.
+  sides.apply({write(p1 - 16, 32, 1), Op{OpKind::kEpochClear},
+               write(p1 - 16, 16, 1), write(p1 - 8, 16, 2)},
+              gb);
+  sides.expect_agree(p1 - 17, p1 + 17);
+  // Fork-shared: both pages are shared with a fork, so the run un-shares
+  // each of them on its first store.
+  sides.apply({write(p1 - 16, 32, 1), Op{OpKind::kFork}, write(p1 - 8, 16, 2)},
+              gb);
+  sides.expect_agree(p1 - 17, p1 + 17);
+  EXPECT_GT(sides.ref.counter(metrics::Counter::kShadowPageResets), 0u);
+  EXPECT_EQ(sides.ref.counter(metrics::Counter::kShadowPagesCoW), 2u);
+  EXPECT_EQ(sides.walk.forks.back().writer(p1), 1u) << "the fork kept its page";
+}
+
+TEST(AccessWalkDeathTest, OversizePayloadIsRejected) {
+  const Payload too_big = AccessShadow::kMaxPayload + 1;
+  const auto replace = [](Payload) { return kSeries; };
+  const auto ignore = [](std::uintptr_t, std::uintptr_t, Payload, bool) {};
+  EXPECT_DEATH(
+      {
+        AccessShadow s(SlotEncoding::kPacked);
+        s.check_access(true, kPageGranules, 8, 0, too_big, replace, ignore);
+      },
+      "28-bit slot field");
+  EXPECT_DEATH(
+      {
+        AccessShadow s(SlotEncoding::kPacked);
+        s.check_access(true, kPageGranules, 8, 0, 9, replace, ignore);
+        s.check_access(false, kPageGranules, 8, 0, too_big, replace, ignore);
+      },
+      "28-bit slot field");
+}
 
 TEST(AccessWalk, ClearRangeNeverMaterializesAPage) {
   metrics::Registry reg;
