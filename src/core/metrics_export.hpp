@@ -16,9 +16,9 @@
 // 2. JSONL time series (`jsonl_sample` + `MetricsSampler`): one JSON
 //    object per line, each a timestamped live snapshot
 //    (`{"t_ms":...,"done":...,"total":...,"metrics":{...}}`), appended at
-//    a fixed cadence while a sweep runs.  The sweep's monitor thread
-//    drives the sampler (`--metrics-out=FILE --metrics-interval-ms=N`)
-//    off the workers' SharedSnapshot slots, so sampling never touches the
+//    a fixed cadence while a sweep runs.  The sweep's monitor drives the
+//    sampler (`--metrics-out=FILE --metrics-interval-ms=N`) off the
+//    workers' SharedSnapshot slots, so sampling never touches the
 //    hot path — the enabled cost is budgeted by bench/sweep_scaling
 //    --check-metrics-overhead at <= 1.05x geomean.
 #pragma once

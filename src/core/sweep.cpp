@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,182 +26,6 @@
 #include "support/trace.hpp"
 
 namespace rader {
-
-namespace {
-
-/// The sweep's monitor thread: one loop serving every live consumer —
-/// the `--progress` heartbeat (rolling-window rate/ETA), the JSONL
-/// metrics sampler (`--metrics-out`), the queue-depth gauge, and the hang
-/// watchdog (`--watchdog-ms`).  Everything it reads is wait-free for the
-/// workers: per-worker completion counters are relaxed atomics and the
-/// metrics snapshot comes from the workers' SharedSnapshot slots.
-class SweepMonitor {
- public:
-  static bool wanted(const SweepOptions& options) {
-    return options.progress || options.metrics_out != nullptr ||
-           options.watchdog_ms > 0;
-  }
-
-  SweepMonitor(const SweepOptions& options, std::size_t total,
-               std::vector<std::atomic<std::uint64_t>>* per_worker,
-               std::atomic<std::uint64_t>* racy,
-               const metrics::SharedSnapshot* live,
-               metrics::Registry* monitor_reg)
-      : options_(options),
-        total_(total),
-        per_worker_(per_worker),
-        racy_(racy),
-        live_(live),
-        monitor_reg_(monitor_reg),
-        out_(options.progress_out != nullptr ? *options.progress_out
-                                             : std::cerr),
-        sampler_(options.metrics_out,
-                 std::max(1u, options.metrics_interval_ms)),
-        heartbeat_interval_ms_(std::max(1u, options.progress_interval_ms)) {
-    // Tick at the fastest cadence any consumer needs; each consumer then
-    // throttles itself (the sampler internally, the heartbeat here).
-    unsigned tick = heartbeat_interval_ms_;
-    if (options.metrics_out != nullptr) {
-      tick = std::min(tick, std::max(1u, options.metrics_interval_ms));
-    }
-    if (options.watchdog_ms > 0) {
-      tick = std::min(tick, std::max(1u, options.watchdog_ms / 4));
-    }
-    tick_ms_ = std::max(1u, tick);
-    rate_.sample(metrics::now_nanos(), 0);  // ETA baseline (first interval)
-    last_change_nanos_ = metrics::now_nanos();
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~SweepMonitor() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    // Workers have joined by the time the owner destroys the monitor, so
-    // the final observations are exact, not approximate.
-    const std::uint64_t done = total_done();
-    monitor_reg_->gauge_set(metrics::Gauge::kSweepQueueDepth,
-                            static_cast<std::int64_t>(total_ - done));
-    if (options_.progress) out_ << line(done, /*final=*/true) << std::endl;
-    if (options_.metrics_out != nullptr) {
-      sampler_.final_sample(done, total_, live_->read());
-    }
-  }
-
-  SweepMonitor(const SweepMonitor&) = delete;
-  SweepMonitor& operator=(const SweepMonitor&) = delete;
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, std::chrono::milliseconds(tick_ms_),
-                         [this] { return stop_; })) {
-      tick();
-    }
-  }
-
-  void tick() {
-    const std::uint64_t done = total_done();
-    const std::uint64_t now = metrics::now_nanos();
-    monitor_reg_->gauge_set(metrics::Gauge::kSweepQueueDepth,
-                            static_cast<std::int64_t>(total_ - done));
-    if (options_.progress &&
-        now - last_heartbeat_nanos_ >=
-            std::uint64_t{heartbeat_interval_ms_} * 1'000'000) {
-      last_heartbeat_nanos_ = now;
-      rate_.sample(now, done);
-      out_ << line(done, /*final=*/false) << std::endl;
-    }
-    if (options_.metrics_out != nullptr) {
-      sampler_.maybe_sample(done, total_, live_->read());
-    }
-    if (options_.watchdog_ms > 0) {
-      if (done != last_done_) {
-        last_done_ = done;
-        last_change_nanos_ = now;
-        armed_ = true;
-      } else if (armed_ && done < total_ &&
-                 now - last_change_nanos_ >=
-                     std::uint64_t{options_.watchdog_ms} * 1'000'000) {
-        // No spec completed within the deadline: leave a post-mortem and
-        // disarm until progress resumes (one report per stall episode).
-        crash::write_postmortem(options_.watchdog_fd,
-                                "watchdog: sweep stalled");
-        monitor_reg_->bump(metrics::Counter::kPostmortemDumps);
-        armed_ = false;
-      }
-    }
-  }
-
-  std::uint64_t total_done() const {
-    std::uint64_t done = 0;
-    for (const auto& w : *per_worker_) {
-      done += w.load(std::memory_order_relaxed);
-    }
-    return done;
-  }
-
-  std::string line(std::uint64_t done, bool final) const {
-    std::ostringstream workers;
-    for (std::size_t w = 0; w < per_worker_->size(); ++w) {
-      workers << (w == 0 ? "" : " ") << 'w' << w << ':'
-              << (*per_worker_)[w].load(std::memory_order_relaxed);
-    }
-    const std::uint64_t remaining = total_ > done ? total_ - done : 0;
-    char perf[96];
-    if (final) {
-      // The summary reports the true whole-run average (clamped elapsed
-      // time: a sub-millisecond sweep must not print inf).
-      const double secs = std::max(clock_.seconds(), 1e-9);
-      std::snprintf(perf, sizeof(perf), "%.1f specs/s, %.2fs elapsed",
-                    static_cast<double>(done) / secs, secs);
-    } else {
-      // Live rate/ETA come from the rolling window, which tracks the
-      // current completion regime of front-loaded prefix sweeps.  Until
-      // the window has a usable rate (first interval, or a stall) the ETA
-      // is unknown — printed as "--", never nan/inf.
-      const double rate = rate_.rate_per_sec();
-      if (rate > 0.0) {
-        std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta %.1fs", rate,
-                      rate_.eta_seconds(remaining));
-      } else {
-        std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta --", rate);
-      }
-    }
-    std::ostringstream os;
-    os << (final ? "sweep done: " : "sweep: ") << done << '/' << total_
-       << " specs (" << perf << ", racy "
-       << racy_->load(std::memory_order_relaxed) << ") [" << workers.str()
-       << ']';
-    return os.str();
-  }
-
-  const SweepOptions& options_;
-  const std::size_t total_;
-  std::vector<std::atomic<std::uint64_t>>* per_worker_;
-  std::atomic<std::uint64_t>* racy_;
-  const metrics::SharedSnapshot* live_;
-  metrics::Registry* monitor_reg_;
-  std::ostream& out_;
-  MetricsSampler sampler_;
-  const unsigned heartbeat_interval_ms_;
-  unsigned tick_ms_;
-  support::RollingRate rate_;
-  std::uint64_t last_heartbeat_nanos_ = 0;
-  std::uint64_t last_done_ = 0;
-  std::uint64_t last_change_nanos_ = 0;
-  bool armed_ = true;
-  metrics::Stopwatch clock_;
-  std::thread thread_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
-
-}  // namespace
 
 namespace sweep_internal {
 
@@ -330,8 +155,8 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
     // Every decision matches the previous run: the execution would be
     // identical, so its (unstamped) log is reused verbatim.  This is common
     // in coverage families, whose members often differ only on contexts the
-    // program never reaches.  Accounted by the caller so spec_runs ==
-    // kSpecRuns + kSweepDedupReuses stays exact.
+    // program never reaches.  Accounted by SweepScheduler::complete() so
+    // spec_runs == kSpecRuns + kSweepDedupReuses stays exact.
     *out = last_log_;
     return {false, 0};
   }
@@ -414,6 +239,344 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
   return {true, nanos};
 }
 
+SweepScheduler::SweepScheduler(const Family& fam, const SweepOptions& opts)
+    : family(fam),
+      options(opts),
+      n(opts.budget != 0 && opts.budget < fam.size()
+            ? static_cast<std::size_t>(opts.budget)
+            : fam.size()),
+      slots(static_cast<unsigned>(std::min<std::size_t>(
+          opts.threads != 0
+              ? opts.threads
+              : std::max(1u, std::thread::hardware_concurrency()),
+          n))),
+      live(slots + 1),
+      per_spec_(n),
+      ran_(n, 0),
+      slot_done_(slots),
+      first_racy_(n) {}
+
+void SweepScheduler::begin(unsigned slot, std::size_t i,
+                           const std::string& who) {
+  char text[crash::InflightTable::kChars];
+  std::snprintf(text, sizeof text, "%sspec[%zu] %s", who.c_str(), i,
+                family[i]->describe().c_str());
+  inflight.set(slot, text);
+}
+
+void SweepScheduler::complete(unsigned slot, std::size_t i,
+                              const SpecExecutor::RunOutcome& outcome,
+                              metrics::Registry& reg) {
+  per_spec_[i].stamp_found_under(family[i]->describe());
+  ran_[i] = 1;
+  if (outcome.executed) {
+    reg.record(metrics::Histogram::kSpecRunNanos, outcome.nanos);
+    reg.bump(metrics::Counter::kSpecRuns);
+  } else {
+    reg.bump(metrics::Counter::kSweepDedupReuses);
+  }
+  inflight.clear(slot);
+  slot_done_[slot].fetch_add(1, std::memory_order_relaxed);
+  if (!per_spec_[i].any()) return;
+  racy_.fetch_add(1, std::memory_order_relaxed);
+  if (options.stop_after_first_race) {
+    std::size_t cur = first_racy_.load(std::memory_order_relaxed);
+    while (i < cur && !first_racy_.compare_exchange_weak(
+                          cur, i, std::memory_order_relaxed)) {
+    }
+  }
+}
+
+void SweepScheduler::quarantine(SweepFailure failure) {
+  failure.spec = family[failure.index]->describe();
+  registry.bump(metrics::Counter::kSweepQuarantined);
+  quarantined_.emplace(failure.index, std::move(failure));
+}
+
+std::uint64_t SweepScheduler::done() const {
+  std::uint64_t done = quarantined_.size();
+  for (unsigned w = 0; w < slots; ++w) done += done_by(w);
+  return done;
+}
+
+SweepResult SweepScheduler::run(Executor execute,
+                                const ProgramFactory& make_program) {
+  SweepResult result;
+  if (n == 0) {
+    result.specs_skipped = family.size();
+    return result;
+  }
+  {
+    crash::PostmortemSources sources;
+    sources.metrics = &live;
+    sources.inflight = &inflight;
+    sources.trace_session = trace::session();
+    sources.activity = "sweep";
+    crash::set_sources(sources);
+  }
+  // The sweep's own profiler aggregates the executor's phase trees under
+  // one "sweep" node, then forwards to the caller's profiler (if any) —
+  // the same absorb-at-join shape as the metrics registries.
+  prof::Profiler* const outer_prof = prof::current();
+  prof::Profiler sweep_prof;
+  metrics::Registry merge_reg;
+  std::size_t limit = 0;
+  {
+    prof::Scope pscope(&sweep_prof);
+    prof::Phase sweep_phase("sweep");
+    result.metrics = execute(*this, make_program);
+
+    // Merge exactly the deterministic prefix: everything up to and
+    // including the lowest racy index (or the whole budgeted family when no
+    // run raced), skipping quarantined holes.  Runs beyond the prefix —
+    // in flight on a higher index when the race landed — are discarded, so
+    // race identity, spec_runs, and specs_skipped are byte-identical at
+    // every slot count and under either executor.
+    limit = bound();
+    metrics::Scope scope(&merge_reg);
+    metrics::PhaseTimer timer(metrics::Phase::kMerge);
+    prof::Phase merge_phase("merge");
+    for (std::size_t i = 0; i < limit; ++i) {
+      if (ran_[i] != 0) {
+        result.log.merge(per_spec_[i]);
+        ++result.spec_runs;
+        continue;
+      }
+      const auto it = quarantined_.find(i);
+      RADER_CHECK_MSG(it != quarantined_.end(),
+                      "sweep left a hole in the merged prefix");
+      result.failures.push_back(it->second);
+    }
+  }
+  crash::clear_sources();
+  result.specs_skipped = family.size() - limit;
+  RADER_CHECK_MSG(result.spec_runs + result.failures.size() +
+                          result.specs_skipped ==
+                      family.size(),
+                  "sweep accounting does not partition the family");
+  result.metrics.add(registry.snapshot());
+  result.metrics.add(merge_reg.snapshot());
+  // Forward the aggregates to the caller's registry/profiler (if installed)
+  // so an outer Scope sees probe + sweep + merge in one snapshot.
+  if (metrics::Registry* outer = metrics::current()) {
+    outer->absorb(result.metrics);
+  }
+  if (outer_prof != nullptr) outer_prof->absorb(sweep_prof.root());
+  return result;
+}
+
+SweepMonitor::SweepMonitor(SweepScheduler& sched)
+    : sched_(sched),
+      out_(sched.options.progress_out != nullptr
+               ? *sched.options.progress_out
+               : std::cerr),
+      sampler_(sched.options.metrics_out,
+               std::max(1u, sched.options.metrics_interval_ms)),
+      start_(metrics::now_nanos()),
+      last_heartbeat_(start_),
+      last_change_(start_) {
+  rate_.sample(start_, 0);  // ETA baseline (first interval)
+}
+
+namespace {
+
+std::uint64_t interval_nanos(unsigned ms) {
+  return std::uint64_t{std::max(1u, ms)} * 1'000'000;
+}
+
+}  // namespace
+
+unsigned SweepMonitor::tick_ms() const {
+  const SweepOptions& o = sched_.options;
+  unsigned tick = std::max(1u, o.progress_interval_ms);
+  if (o.metrics_out != nullptr) {
+    tick = std::min(tick, std::max(1u, o.metrics_interval_ms));
+  }
+  if (o.watchdog_ms > 0) {
+    tick = std::min(tick, std::max(1u, o.watchdog_ms / 4));
+  }
+  return tick;
+}
+
+std::uint64_t SweepMonitor::observe() {
+  const std::uint64_t done = sched_.done();
+  sched_.registry.gauge_set(metrics::Gauge::kSweepQueueDepth,
+                            static_cast<std::int64_t>(sched_.n - done));
+  sched_.live.publish(sched_.slots, sched_.registry.snapshot());
+  return done;
+}
+
+void SweepMonitor::tick() {
+  const SweepOptions& o = sched_.options;
+  const std::uint64_t done = observe();
+  const std::uint64_t now = metrics::now_nanos();
+  if (o.progress &&
+      now - last_heartbeat_ >= interval_nanos(o.progress_interval_ms)) {
+    last_heartbeat_ = now;
+    rate_.sample(now, done);
+    out_ << line(done, /*final=*/false) << std::endl;
+  }
+  if (o.metrics_out != nullptr &&
+      now - start_ >= interval_nanos(o.metrics_interval_ms)) {
+    sampler_.maybe_sample(done, sched_.n, sched_.live.read());
+  }
+  if (o.watchdog_ms > 0) {
+    if (done != last_done_) {
+      last_done_ = done;
+      last_change_ = now;
+      armed_ = true;
+    } else if (armed_ && done < sched_.n &&
+               now - last_change_ >= interval_nanos(o.watchdog_ms)) {
+      // No spec completed within the deadline: leave a post-mortem and
+      // disarm until progress resumes (one report per stall episode).
+      // Diagnosis only; an isolated sweep's --watchdog-kill recovery is
+      // the supervisor's.
+      crash::write_postmortem(o.watchdog_fd, "watchdog: sweep stalled");
+      sched_.registry.bump(metrics::Counter::kPostmortemDumps);
+      armed_ = false;
+    }
+  }
+}
+
+void SweepMonitor::finish() {
+  const std::uint64_t done = observe();
+  if (sched_.options.progress) {
+    out_ << line(done, /*final=*/true) << std::endl;
+  }
+  if (sched_.options.metrics_out != nullptr) {
+    sampler_.final_sample(done, sched_.n, sched_.live.read());
+  }
+}
+
+std::string SweepMonitor::line(std::uint64_t done, bool final) const {
+  std::ostringstream workers;
+  for (unsigned w = 0; w < sched_.slots; ++w) {
+    workers << (w == 0 ? "" : " ") << 'w' << w << ':' << sched_.done_by(w);
+  }
+  const std::uint64_t remaining = sched_.n > done ? sched_.n - done : 0;
+  char perf[96];
+  if (final) {
+    // The summary reports the true whole-run average (clamped elapsed
+    // time: a sub-millisecond sweep must not print inf).
+    const double secs = std::max(clock_.seconds(), 1e-9);
+    std::snprintf(perf, sizeof(perf), "%.1f specs/s, %.2fs elapsed",
+                  static_cast<double>(done) / secs, secs);
+  } else {
+    // Live rate/ETA come from the rolling window, which tracks the current
+    // completion regime of front-loaded prefix sweeps.  Until the window
+    // has a usable rate (first interval, or a stall) the ETA is unknown —
+    // printed as "--", never nan/inf.
+    const double rate = rate_.rate_per_sec();
+    if (rate > 0.0) {
+      std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta %.1fs", rate,
+                    rate_.eta_seconds(remaining));
+    } else {
+      std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta --", rate);
+    }
+  }
+  std::ostringstream os;
+  os << (final ? "sweep done: " : "sweep: ") << done << '/' << sched_.n
+     << " specs (" << perf << ", racy " << sched_.racy() << ") ["
+     << workers.str() << ']';
+  return os.str();
+}
+
+metrics::Snapshot run_threads(SweepScheduler& sched,
+                              const ProgramFactory& make_program) {
+  std::vector<metrics::Snapshot> worker_metrics(sched.slots);
+  std::vector<prof::Profiler> worker_profs(sched.slots);
+  std::atomic<std::size_t> next{0};
+  // Prefix workers claim ascending chunks instead of single indices:
+  // lexicographic families are emitted in trie DFS order, so neighbouring
+  // indices share the deepest prefixes, and those only pay off when the
+  // SAME worker (whose trail and checkpoints describe the previous member)
+  // runs them.
+  const bool prefix = sched.options.strategy == SweepStrategy::kPrefix &&
+                      !sched.options.sampling.enabled;
+  const std::size_t chunk = prefix ? 8 : 1;
+
+  const auto worker = [&](unsigned w) {
+    // Bound the thread's view-arena floor: the worker's program fixtures
+    // allocate outside runs (promoting the floor), and without this a
+    // long-lived process sweeping repeatedly would grow every worker
+    // thread's arena monotonically.  Declared first so it is destroyed
+    // last — after the program instances (and their views) are gone.
+    view_arena::Scope arena_scope;
+    metrics::Registry reg;
+    metrics::Scope scope(&reg);
+    prof::Scope pscope(&worker_profs[w]);
+    // When a tracing session is active, each sweep worker records into its
+    // own buffer ("sweep-wN") — one Chrome-trace process per worker.
+    trace::Session* const tsession = trace::session();
+    trace::ThreadScope tscope(
+        tsession != nullptr
+            ? tsession->make_buffer("sweep-w" + std::to_string(w))
+            : trace::buffer());
+    {
+      SpecExecutor exec(make_program, sched.family, sched.options);
+      for (;;) {
+        const std::size_t start =
+            next.fetch_add(chunk, std::memory_order_relaxed);
+        if (start >= sched.n) break;
+        const std::size_t end = std::min(start + chunk, sched.n);
+        std::size_t i = start;
+        for (; i < end && sched.admits(i); ++i) {
+          sched.begin(w, i);
+          sched.complete(w, i, exec.run(i, sched.log(i)), reg);
+          sched.live.publish(w, reg.snapshot());
+        }
+        // An index the scheduler no longer admits ends the worker: every
+        // later claim is higher still.
+        if (i < end) break;
+      }
+    }
+    // Quiescent totals: the monitor's final JSONL sample reads these slots
+    // after the join, so publish everything one last time.
+    sched.live.publish(w, reg.snapshot());
+    worker_metrics[w] = reg.snapshot();
+  };
+
+  std::optional<SweepMonitor> monitor;
+  if (SweepMonitor::wanted(sched.options)) monitor.emplace(sched);
+  {
+    // The monitor thread ticks until the workers have joined.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool stop = false;
+    std::thread ticker;
+    if (monitor) {
+      ticker = std::thread([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        const std::chrono::milliseconds every(monitor->tick_ms());
+        while (!cv.wait_for(lock, every, [&] { return stop; })) {
+          monitor->tick();
+        }
+      });
+    }
+    if (sched.slots <= 1) {
+      worker(0);
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(sched.slots);
+      for (unsigned t = 0; t < sched.slots; ++t) pool.emplace_back(worker, t);
+      for (auto& th : pool) th.join();
+    }
+    if (ticker.joinable()) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        stop = true;
+      }
+      cv.notify_all();
+      ticker.join();
+    }
+  }
+  if (monitor) monitor->finish();
+  for (const auto& wp : worker_profs) prof::current()->absorb(wp.root());
+  metrics::Snapshot total;
+  for (const auto& wm : worker_metrics) total.add(wm);
+  return total;
+}
+
 }  // namespace sweep_internal
 
 ProgramFactory shared_program(std::function<void()> program) {
@@ -424,251 +587,11 @@ SweepResult sweep_family(
     const ProgramFactory& make_program,
     const std::vector<std::unique_ptr<spec::StealSpec>>& family,
     const SweepOptions& options) {
-  if (options.isolation == SweepIsolation::kProcs) {
-    // Crash-isolated backend (core/sweep_isolated.cpp): same per-spec
-    // execution code (SpecExecutor), but sharded across sandboxed child
-    // processes under a retry/quarantine supervisor.
-    return sweep_internal::sweep_family_isolated(make_program, family,
-                                                 options);
-  }
-  SweepResult result;
-  const std::size_t total = family.size();
-  const std::size_t n =
-      (options.budget != 0 && options.budget < total)
-          ? static_cast<std::size_t>(options.budget)
-          : total;
-  if (n == 0) {
-    result.specs_skipped = total;
-    return result;
-  }
-
-  unsigned threads = options.threads != 0
-                         ? options.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, n));
-
-  // One log per family member, merged in family order afterwards: the sweep
-  // result is deterministic and identical to the serial sweep's regardless
-  // of thread count or scheduling.
-  std::vector<RaceLog> per_spec(n);
-  std::vector<char> ran(n, 0);
-  std::vector<metrics::Snapshot> worker_metrics(threads);
-  std::vector<prof::Profiler> worker_profs(threads);
-  // Telemetry counters sampled by the progress monitor (and mirrored by the
-  // per-worker metrics snapshots merged into SweepResult::metrics).
-  std::vector<std::atomic<std::uint64_t>> worker_done(threads);
-  std::atomic<std::uint64_t> racy_specs{0};
-  std::atomic<std::size_t> next{0};
-  // Live observability surface: workers overwrite their SharedSnapshot
-  // slot with their current totals after every spec, and keep their
-  // current spec handle in the in-flight table.  The monitor thread, the
-  // watchdog, and a fatal-signal handler (support/crash.hpp) read both
-  // wait-free; the final SweepResult::metrics still folds the worker
-  // registries directly, so live sampling never changes the result.
-  metrics::SharedSnapshot shared(threads);
-  crash::InflightTable inflight;
-  {
-    crash::PostmortemSources sources;
-    sources.metrics = &shared;
-    sources.inflight = &inflight;
-    sources.trace_session = trace::session();
-    sources.activity = "sweep";
-    crash::set_sources(sources);
-  }
-  // Lowest family index whose run reported a race (n = none yet).  Under
-  // stop_after_first_race, "first" means lowest FAMILY INDEX, not first in
-  // wall-clock order: the result is the prefix [0, first_racy], so it is
-  // invariant across thread counts.  The value only decreases; a skipped
-  // index never runs, so it can never become first_racy itself.
-  std::atomic<std::size_t> first_racy{n};
-
-  // Post-run bookkeeping shared by both strategies: stamp the eliciting
-  // spec, publish completion (counter, live snapshot slot, in-flight
-  // clear), and (stop-first) lower the racy-index minimum.
-  const auto finish_spec = [&](unsigned widx, std::size_t i) {
-    per_spec[i].stamp_found_under(family[i]->describe());
-    ran[i] = 1;
-    if (metrics::Registry* r = metrics::current()) {
-      shared.publish(widx, r->snapshot());
-    }
-    inflight.clear(widx);
-    worker_done[widx].fetch_add(1, std::memory_order_relaxed);
-    if (per_spec[i].any()) {
-      racy_specs.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (options.stop_after_first_race && per_spec[i].any()) {
-      std::size_t cur = first_racy.load(std::memory_order_relaxed);
-      while (i < cur && !first_racy.compare_exchange_weak(
-                            cur, i, std::memory_order_relaxed)) {
-      }
-    }
-  };
-
-  // Publish the spec a worker is about to execute so a hang or crash names
-  // it in the post-mortem.
-  const auto begin_spec = [&](unsigned widx, std::size_t i) {
-    char text[crash::InflightTable::kChars];
-    std::snprintf(text, sizeof text, "spec[%zu] %s", i,
-                  family[i]->describe().c_str());
-    inflight.set(widx, text);
-  };
-
-  // Per-spec accounting shared by both strategies (see the contract in
-  // core/sweep_internal.hpp: these bumps are the caller's job, not the
-  // executor's, so the isolated sweep's supervisor can account only the
-  // specs whose results actually arrived).
-  const auto account_spec = [](const sweep_internal::SpecExecutor::RunOutcome&
-                                   outcome) {
-    if (outcome.executed) {
-      metrics::record(metrics::Histogram::kSpecRunNanos, outcome.nanos);
-      metrics::bump(metrics::Counter::kSpecRuns);
-    } else {
-      metrics::bump(metrics::Counter::kSweepDedupReuses);
-    }
-  };
-
-  const auto rerun_worker = [&](unsigned widx,
-                                sweep_internal::SpecExecutor& exec) {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      // Indices above the current minimum racy index can never join the
-      // result prefix (first_racy is monotonically decreasing), so abandon
-      // them; indices at or below it always run, which guarantees the whole
-      // prefix [0, final first_racy] executes at every thread count.
-      if (i > first_racy.load(std::memory_order_relaxed)) break;
-      begin_spec(widx, i);
-      account_spec(exec.run(i, &per_spec[i]));
-      finish_spec(widx, i);
-    }
-  };
-
-  const auto prefix_worker = [&](unsigned widx,
-                                 sweep_internal::SpecExecutor& exec) {
-    // Claim ascending chunks instead of single indices: lexicographic
-    // families are emitted in trie DFS order, so neighbouring indices share
-    // the deepest prefixes, and those only pay off when the SAME worker
-    // (whose trail and checkpoints describe the previous member) runs them.
-    constexpr std::size_t kChunk = 8;
-    for (;;) {
-      const std::size_t start =
-          next.fetch_add(kChunk, std::memory_order_relaxed);
-      if (start >= n) break;
-      const std::size_t end = std::min(start + kChunk, n);
-      bool abandoned = false;
-      for (std::size_t i = start; i < end; ++i) {
-        // Same stop-first contract as the rerun worker.  Later indices in
-        // this chunk — and any chunk claimed afterwards — are higher still,
-        // so abandoning the whole worker is safe.
-        if (i > first_racy.load(std::memory_order_relaxed)) {
-          abandoned = true;
-          break;
-        }
-        begin_spec(widx, i);
-        account_spec(exec.run(i, &per_spec[i]));
-        finish_spec(widx, i);
-      }
-      if (abandoned) break;
-    }
-  };
-
-  const bool prefix = options.strategy == SweepStrategy::kPrefix &&
-                      !options.sampling.enabled;
-  const auto worker = [&](unsigned widx) {
-    // Bound the thread's view-arena floor: the worker's program fixtures
-    // allocate outside runs (promoting the floor), and without this a
-    // long-lived process sweeping repeatedly would grow every worker
-    // thread's arena monotonically.  Declared first so it is destroyed
-    // last — after the program instances (and their views) are gone.
-    view_arena::Scope arena_scope;
-    metrics::Registry reg;
-    metrics::Scope scope(&reg);
-    prof::Scope pscope(&worker_profs[widx]);
-    // When a tracing session is active, each sweep worker records into its
-    // own buffer ("sweep-wN") — one Chrome-trace process per worker.
-    trace::Session* const tsession = trace::session();
-    trace::ThreadScope tscope(
-        tsession != nullptr
-            ? tsession->make_buffer("sweep-w" + std::to_string(widx))
-            : trace::buffer());
-    {
-      sweep_internal::SpecExecutor exec(make_program, family, options);
-      if (prefix) {
-        prefix_worker(widx, exec);
-      } else {
-        rerun_worker(widx, exec);
-      }
-    }
-    // Quiescent totals: the monitor's final JSONL sample reads these slots
-    // after the join, so publish everything one last time.
-    shared.publish(widx, reg.snapshot());
-    worker_metrics[widx] = reg.snapshot();
-  };
-
-  // The sweep's own profiler aggregates the workers' phase trees under one
-  // "sweep" node, then forwards to the caller's profiler (if any) — the
-  // same absorb-at-join shape as the metrics registries.
-  prof::Profiler* const outer_prof = prof::current();
-  prof::Profiler sweep_prof;
-  metrics::Registry merge_reg;
-  metrics::Registry monitor_reg;
-  {
-    prof::Scope pscope(&sweep_prof);
-    prof::Phase sweep_phase("sweep");
-    {
-      // Scoped so the monitor's destructor (which prints the final summary
-      // line and writes the final JSONL sample) runs as soon as the workers
-      // have joined.
-      std::unique_ptr<SweepMonitor> monitor;
-      if (SweepMonitor::wanted(options)) {
-        monitor = std::make_unique<SweepMonitor>(
-            options, n, &worker_done, &racy_specs, &shared, &monitor_reg);
-      }
-      if (threads <= 1) {
-        worker(0);
-      } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-        for (auto& th : pool) th.join();
-      }
-    }
-    for (const auto& wp : worker_profs) sweep_prof.absorb(wp.root());
-
-    // Merge exactly the deterministic prefix: everything up to and
-    // including the lowest racy index (or the whole budgeted family when no
-    // run raced).  Runs beyond the prefix — workers that were mid-flight on
-    // a higher index when the race landed — are discarded, so race
-    // identity, spec_runs, and specs_skipped are byte-identical at every
-    // thread count.
-    const std::size_t lowest = first_racy.load(std::memory_order_relaxed);
-    const std::size_t limit = lowest < n ? lowest + 1 : n;
-    {
-      metrics::Scope scope(&merge_reg);
-      metrics::PhaseTimer timer(metrics::Phase::kMerge);
-      prof::Phase merge_phase("merge");
-      for (std::size_t i = 0; i < limit; ++i) {
-        RADER_CHECK_MSG(ran[i] != 0, "sweep prefix member did not run");
-        result.log.merge(per_spec[i]);
-        ++result.spec_runs;
-      }
-    }
-  }
-  crash::clear_sources();
-  result.specs_skipped = total - result.spec_runs;
-  for (const auto& wm : worker_metrics) result.metrics.add(wm);
-  result.metrics.add(merge_reg.snapshot());
-  result.metrics.add(monitor_reg.snapshot());
-  // Forward the aggregates to the caller's registry/profiler (if installed)
-  // so an outer Scope sees probe + sweep + merge in one snapshot.
-  if (metrics::Registry* outer = metrics::current()) {
-    outer->absorb(result.metrics);
-  }
-  if (outer_prof != nullptr) {
-    outer_prof->absorb(sweep_prof.root());
-  }
-  return result;
+  sweep_internal::SweepScheduler sched(family, options);
+  return sched.run(options.isolation == SweepIsolation::kProcs
+                       ? sweep_internal::run_children
+                       : sweep_internal::run_threads,
+                   make_program);
 }
 
 }  // namespace rader

@@ -14,10 +14,15 @@
 // which collapses the same race elicited under many specs into one report
 // carrying the set of eliciting specifications.
 //
+// One scheduler (core/sweep_internal.hpp) owns every sweep semantic but
+// spec execution — budget, stop-first admission, accounting, the merge, the
+// monitor — and drives either of two executors: this thread pool, or
+// sandboxed fork children (SweepIsolation::kProcs).
+//
 // Thread-safety model: the detector stack (SerialEngine, SpPlusDetector,
-// ShadowSpace, the DSU) has no global state, and the engine installation is
-// thread-local (Engine::Scope), so concurrent serial-engine runs never
-// interact.  The program under test, however, usually mutates captured state
+// its AccessShadow over a PackedShadow, the DSU) has no global state, and
+// the engine installation is thread-local (Engine::Scope), so concurrent
+// serial-engine runs never interact.  The program under test, however, usually mutates captured state
 // when it runs, so workers must not share one instance: the sweep takes a
 // *program factory* and each worker materializes its own instance (programs
 // must be re-runnable, as for the serial driver — not thread-safe).
@@ -120,7 +125,7 @@ struct SweepOptions {
   /// tests/property/sweep_equivalence_test).
   bool stop_after_first_race = false;
 
-  /// Live telemetry (`rader --progress`): a monitor thread samples the
+  /// Live telemetry (`rader --progress`): the sweep's monitor samples the
   /// per-worker completion counters every `progress_interval_ms` and prints
   /// one heartbeat line — total and per-worker specs done, specs/s, ETA,
   /// racy specs so far — to `progress_out`, plus a final summary line when
@@ -135,7 +140,7 @@ struct SweepOptions {
   std::ostream* progress_out = nullptr;  // nullptr = std::cerr
 
   /// JSONL metrics time series (`rader --metrics-out=FILE
-  /// --metrics-interval-ms=N`): the monitor thread appends one
+  /// --metrics-interval-ms=N`): the sweep's monitor appends one
   /// core/metrics_export.hpp sample line per interval — read wait-free
   /// from the workers' live SharedSnapshot slots — plus one final quiesced
   /// sample after the workers join.  nullptr = off.  The enabled sampling
@@ -146,7 +151,7 @@ struct SweepOptions {
 
   /// Hang watchdog (`rader --watchdog-ms=N`): when > 0 and no spec
   /// completes for this many milliseconds while the sweep is unfinished,
-  /// the monitor thread writes a post-mortem report (support/crash.hpp:
+  /// the sweep's monitor writes a post-mortem report (support/crash.hpp:
   /// live metrics, in-flight spec handles, trace-ring tails) to
   /// `watchdog_fd` and bumps sweep.postmortem_dumps, then re-arms on the
   /// next completion.  Diagnosis only — the sweep itself is never
@@ -165,8 +170,9 @@ struct SweepOptions {
 
   /// Crash isolation (`rader --isolate=procs`): see SweepIsolation.  With
   /// kProcs, `threads` is the number of concurrent sandbox processes, the
-  /// monitor duties (--progress/--metrics-out/--watchdog-ms) run inline in
-  /// the single-threaded supervisor loop, and the fields below apply.
+  /// single-threaded supervisor ticks the same monitor
+  /// (--progress/--metrics-out/--watchdog-ms) from its poll loop, and the
+  /// fields below apply.
   SweepIsolation isolation = SweepIsolation::kNone;
 
   /// kProcs: wall-clock deadline per spec inside a child

@@ -2,26 +2,32 @@
 // child processes (support/subprocess.hpp) under a single-threaded
 // retry/quarantine supervisor.
 //
+// This is one of the SweepScheduler's two executors
+// (core/sweep_internal.hpp): the scheduler owns stop-first admission,
+// per-spec accounting, the monitor and the family-order merge; this file
+// owns only how specs are executed.
+//
 // Topology.  The supervisor splits the budgeted family into contiguous
-// shards and keeps up to `threads` children alive, each executing one
+// shards and keeps up to `slots` children alive, each executing one
 // shard's specs in ascending order through the SAME SpecExecutor the
-// in-process workers use (core/sweep_internal.hpp) — that sharing, plus the
-// family-order merge at the end, is what makes the surviving-spec result
-// byte-identical to the in-process sweep.  Children are fork()s without
-// exec, so the ProgramFactory closure runs directly in the sandbox; results
-// come back over a pipe as a line protocol:
+// in-process workers use — that sharing, plus the scheduler's family-order
+// merge, is what makes the surviving-spec result byte-identical to the
+// in-process sweep.  Children are fork()s without exec, so the
+// ProgramFactory closure runs directly in the sandbox; results come back
+// over a pipe as a line protocol:
 //
 //   begin <i>                        about to execute family index i
 //   metrics <snapshot wire>          cumulative child metrics (report_wire)
-//   spec <i> <ran> <nanos> <json>    family[i]'s stamped RaceLog::to_json()
+//   spec <i> <ran> <nanos> <json>    family[i]'s unstamped RaceLog::to_json()
 //   done                             shard complete
 //
 // Each completed spec ships `metrics` THEN `spec`, so the last metrics line
 // received always covers exactly the specs whose results were salvaged —
 // detector work of a spec that died mid-run is never counted.  For the same
 // reason the child never bumps the per-spec accounting metrics (kSpecRuns /
-// kSweepDedupReuses / kSpecRunNanos); the supervisor bumps them per `spec`
-// line it actually parses.
+// kSweepDedupReuses / kSpecRunNanos); the supervisor hands each `spec` line
+// it actually parses to SweepScheduler::complete(), which stamps and
+// accounts it.
 //
 // Failure handling (docs/ROBUSTNESS.md has the full state machine).  A
 // child that exits nonzero, dies on a signal, breaks protocol, or blows a
@@ -39,11 +45,11 @@
 // therefore always completes: every index of the merged prefix either ran
 // or is quarantined.
 //
-// Monitor duties (--progress / --metrics-out / --watchdog-ms) run inline in
-// the supervisor loop — forking a multithreaded process is a minefield, so
-// the supervisor owns no threads at all.  --watchdog-kill escalates a
-// stalled child from diagnosis to recovery through the same quarantine
-// path.
+// The supervisor owns no threads at all — forking a multithreaded process
+// is a minefield — so it ticks the scheduler's SweepMonitor
+// (--progress / --metrics-out / --watchdog-ms) from its poll loop.
+// --watchdog-kill escalates a stalled child from diagnosis to recovery
+// through the same quarantine path.
 #include <unistd.h>
 
 #include <algorithm>
@@ -51,14 +57,10 @@
 #include <cstdio>
 #include <ctime>
 #include <deque>
-#include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/metrics_export.hpp"
 #include "core/report_wire.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_internal.hpp"
@@ -67,10 +69,7 @@
 #include "support/crash.hpp"
 #include "support/faultpoint.hpp"
 #include "support/metrics.hpp"
-#include "support/profile.hpp"
-#include "support/rolling_rate.hpp"
 #include "support/subprocess.hpp"
-#include "support/trace.hpp"
 
 namespace rader::sweep_internal {
 
@@ -188,7 +187,6 @@ int child_main(int fd, const ProgramFactory& make_program,
       pending.clear();
       RaceLog log;
       const SpecExecutor::RunOutcome outcome = exec.run(i, &log);
-      log.stamp_found_under(family[i]->describe());
       const metrics::Snapshot snap = reg.snapshot();
       shared.publish(0, snap);
       inflight.clear(0);
@@ -212,520 +210,328 @@ int child_main(int fd, const ProgramFactory& make_program,
 
 }  // namespace
 
-SweepResult sweep_family_isolated(
-    const ProgramFactory& make_program,
-    const std::vector<std::unique_ptr<spec::StealSpec>>& family,
-    const SweepOptions& options) {
-  SweepResult result;
-  const std::size_t total = family.size();
-  const std::size_t n = (options.budget != 0 && options.budget < total)
-                            ? static_cast<std::size_t>(options.budget)
-                            : total;
-  if (n == 0) {
-    result.specs_skipped = total;
-    return result;
-  }
-
-  unsigned threads = options.threads != 0
-                         ? options.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = static_cast<unsigned>(std::min<std::size_t>(threads, n));
-
-  // Same determinism backbone as the in-process sweep: one log per family
-  // member, merged in family order at the end.
-  std::vector<RaceLog> per_spec(n);
-  std::vector<char> ran(n, 0);
-  std::map<std::size_t, SweepFailure> quarantined;
-  std::size_t first_racy = n;  // lowest racy index (stop-first prefix bound)
-  std::uint64_t done_specs = 0;   // salvaged + quarantined
-  std::uint64_t racy_specs = 0;
-  std::vector<std::uint64_t> slot_done(threads, 0);
-
-  // The supervisor's own registry: per-spec accounting replayed from wire
-  // lines, plus the isolation counters.  Child registries arrive as wire
-  // snapshots and fold into `child_totals`.
-  metrics::Registry sup_reg;
+metrics::Snapshot run_children(SweepScheduler& sched,
+                               const ProgramFactory& make_program) {
+  const std::vector<std::unique_ptr<spec::StealSpec>>& family = sched.family;
+  const SweepOptions& options = sched.options;
+  const unsigned threads = sched.slots;
+  // Supervisor-side metrics (accounting, isolation counters) go to the
+  // scheduler's registry; child registries arrive as wire snapshots and
+  // fold into `child_totals`.
+  metrics::Registry& sup_reg = sched.registry;
   metrics::Snapshot child_totals;
-  metrics::Registry merge_reg;
-  metrics::SharedSnapshot shared(1);
-  crash::InflightTable inflight;
-  {
-    crash::PostmortemSources sources;
-    sources.metrics = &shared;
-    sources.inflight = &inflight;
-    sources.trace_session = trace::session();
-    sources.activity = "sweep";
-    crash::set_sources(sources);
+
+  // Shard geometry: ~4 shards per concurrent child bounds the work lost to
+  // one crash, capped at 64 specs so a single shard can't serialize the
+  // tail; at least 1.
+  const std::size_t shard_size = std::clamp<std::size_t>(
+      sched.n / (static_cast<std::size_t>(threads) * 4), 1, 64);
+  std::deque<Shard> queue;
+  for (std::size_t lo = 0; lo < sched.n; lo += shard_size) {
+    Shard s;
+    s.lo = lo;
+    s.hi = std::min(lo + shard_size, sched.n);
+    queue.push_back(s);
   }
 
-  prof::Profiler* const outer_prof = prof::current();
-  prof::Profiler sweep_prof;
-  {
-    prof::Scope pscope(&sweep_prof);
-    prof::Phase sweep_phase("sweep");
+  subprocess::Limits limits;
+  limits.memory_bytes = std::uint64_t{options.child_mem_mb} * 1024 * 1024;
+  if (options.spec_timeout_ms > 0) {
+    // CPU-time backstop in case the supervisor itself dies: generous
+    // multiple of the shard's total wall budget, so it never fires first.
+    limits.cpu_seconds = std::max<unsigned>(
+        5, static_cast<unsigned>(std::uint64_t{options.spec_timeout_ms} *
+                                 (shard_size + 1) * 4 / 1000));
+  }
 
-    // Shard geometry: ~4 shards per concurrent child bounds the work lost
-    // to one crash, capped at 64 specs so a single shard can't serialize
-    // the tail; at least 1.
-    const std::size_t shard_size = std::clamp<std::size_t>(
-        n / (static_cast<std::size_t>(threads) * 4), 1, 64);
-    std::deque<Shard> queue;
-    for (std::size_t lo = 0; lo < n; lo += shard_size) {
-      Shard s;
-      s.lo = lo;
-      s.hi = std::min(lo + shard_size, n);
-      queue.push_back(s);
+  std::vector<std::unique_ptr<Slot>> slots(threads);
+  unsigned attempt_counter = 0;
+
+  // Live metrics of the children: finished ones plus the newest line of
+  // each running one (the scheduler's own registry has its own slot).
+  const auto publish_children = [&] {
+    metrics::Snapshot live = child_totals;
+    for (const auto& s : slots) {
+      if (s && s->has_metrics) live.add(s->child_metrics);
     }
+    sched.live.publish(0, live);
+  };
 
-    subprocess::Limits limits;
-    limits.memory_bytes =
-        std::uint64_t{options.child_mem_mb} * 1024 * 1024;
-    if (options.spec_timeout_ms > 0) {
-      // CPU-time backstop in case the supervisor itself dies: generous
-      // multiple of the shard's total wall budget, so it never fires first.
-      limits.cpu_seconds = std::max<unsigned>(
-          5, static_cast<unsigned>(std::uint64_t{options.spec_timeout_ms} *
-                                   (shard_size + 1) * 4 / 1000));
+  // ----- supervisor actions ----------------------------------------------
+
+  // A failed attempt over [lo, hi): decide retry / quarantine / bisect.
+  // `culprit_known` means `lo` itself is attributable (its `begin` arrived,
+  // its `spec` line did not).
+  const auto on_shard_failure = [&](const Shard& shard, std::size_t lo,
+                                    bool culprit_known,
+                                    const std::string& cause, int sig,
+                                    const std::string& postmortem) {
+    const std::size_t hi = shard.hi;
+    if (lo >= hi) return;  // died after its last result: nothing lost
+    const std::uint64_t now = metrics::now_nanos();
+    if (!shard.exhausted && shard.retries < options.max_retries) {
+      Shard retry;
+      retry.lo = lo;
+      retry.hi = hi;
+      retry.retries = shard.retries + 1;
+      retry.not_before = now + backoff_nanos(retry.retries);
+      retry.failed_at = now;
+      sup_reg.bump(metrics::Counter::kSweepRetries);
+      queue.push_back(retry);
+      return;
     }
-
-    std::vector<std::unique_ptr<Slot>> slots(threads);
-    unsigned attempt_counter = 0;
-
-    // ----- inline monitor state (heartbeat / JSONL sampler / watchdog) ----
-    std::ostream& progress_out =
-        options.progress_out != nullptr ? *options.progress_out : std::cerr;
-    MetricsSampler sampler(options.metrics_out,
-                           std::max(1u, options.metrics_interval_ms));
-    const unsigned heartbeat_ms = std::max(1u, options.progress_interval_ms);
-    support::RollingRate rate;
-    metrics::Stopwatch clock;
-    rate.sample(metrics::now_nanos(), 0);
-    std::uint64_t last_heartbeat = 0;
-    std::uint64_t last_change = metrics::now_nanos();
-    std::uint64_t watchdog_last_done = 0;
-    bool watchdog_armed = true;
-
-    const auto live_totals = [&] {
-      metrics::Snapshot live = sup_reg.snapshot();
-      live.add(child_totals);
-      for (const auto& s : slots) {
-        if (s && s->has_metrics) live.add(s->child_metrics);
-      }
-      return live;
-    };
-
-    const auto heartbeat_line = [&](bool final) {
-      std::ostringstream workers;
-      for (std::size_t w = 0; w < slot_done.size(); ++w) {
-        workers << (w == 0 ? "" : " ") << 'w' << w << ':' << slot_done[w];
-      }
-      const std::uint64_t remaining = n > done_specs ? n - done_specs : 0;
-      char perf[96];
-      if (final) {
-        const double secs = std::max(clock.seconds(), 1e-9);
-        std::snprintf(perf, sizeof(perf), "%.1f specs/s, %.2fs elapsed",
-                      static_cast<double>(done_specs) / secs, secs);
-      } else {
-        const double r = rate.rate_per_sec();
-        if (r > 0.0) {
-          std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta %.1fs", r,
-                        rate.eta_seconds(remaining));
-        } else {
-          std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta --", r);
-        }
-      }
-      std::ostringstream os;
-      os << (final ? "sweep done: " : "sweep: ") << done_specs << '/' << n
-         << " specs (" << perf << ", racy " << racy_specs << ") ["
-         << workers.str() << ']';
-      return os.str();
-    };
-
-    // ----- supervisor actions ---------------------------------------------
-
-    const auto quarantine = [&](std::size_t index, const std::string& cause,
-                                int sig, unsigned retries,
-                                const std::string& postmortem) {
+    if (culprit_known || hi - lo == 1) {
       SweepFailure f;
-      f.index = index;
-      f.spec = family[index]->describe();
+      f.index = lo;
       f.cause = cause;
       f.signal = sig;
-      f.retries = retries;
+      f.retries = shard.retries;
       if (!postmortem.empty() && ::access(postmortem.c_str(), F_OK) == 0) {
         f.postmortem = postmortem;
       }
-      quarantined.emplace(index, std::move(f));
-      sup_reg.bump(metrics::Counter::kSweepQuarantined);
-      ++done_specs;
-    };
+      sched.quarantine(std::move(f));
+      if (lo + 1 < hi) {
+        // The rest of the range is presumed innocent: fresh shard with a
+        // fresh retry allowance.
+        Shard rest;
+        rest.lo = lo + 1;
+        rest.hi = hi;
+        rest.failed_at = now;
+        queue.push_back(rest);
+      }
+      return;
+    }
+    // Retries spent, no attribution: bisect.  Halves keep `exhausted` so a
+    // further unattributed failure keeps narrowing; an attributed one
+    // quarantines immediately.  Terminates: every split strictly shrinks
+    // the range, and size-1 ranges take the quarantine branch above.
+    const std::size_t mid = lo + (hi - lo) / 2;
+    for (const auto& half : {std::pair<std::size_t, std::size_t>{lo, mid},
+                             std::pair<std::size_t, std::size_t>{mid, hi}}) {
+      Shard s;
+      s.lo = half.first;
+      s.hi = half.second;
+      s.retries = shard.retries;
+      s.exhausted = true;
+      s.not_before = now + backoff_nanos(0);
+      s.failed_at = now;
+      queue.push_back(s);
+    }
+  };
 
-    // A failed attempt over [lo, hi): decide retry / quarantine / bisect.
-    // `culprit_known` means `lo` itself is attributable (its `begin`
-    // arrived, its `spec` line did not).
-    const auto on_shard_failure = [&](const Shard& shard, std::size_t lo,
-                                      bool culprit_known,
-                                      const std::string& cause, int sig,
-                                      const std::string& postmortem) {
-      const std::size_t hi = shard.hi;
-      if (lo >= hi) return;  // died after its last result: nothing lost
-      const std::uint64_t now = metrics::now_nanos();
-      if (!shard.exhausted && shard.retries < options.max_retries) {
-        Shard retry;
-        retry.lo = lo;
-        retry.hi = hi;
-        retry.retries = shard.retries + 1;
-        retry.not_before = now + backoff_nanos(retry.retries);
-        retry.failed_at = now;
-        sup_reg.bump(metrics::Counter::kSweepRetries);
-        queue.push_back(retry);
-        return;
-      }
-      if (culprit_known || hi - lo == 1) {
-        quarantine(lo, cause, sig, shard.retries, postmortem);
-        if (lo + 1 < hi) {
-          // The rest of the range is presumed innocent: fresh shard with a
-          // fresh retry allowance.
-          Shard rest;
-          rest.lo = lo + 1;
-          rest.hi = hi;
-          rest.failed_at = now;
-          queue.push_back(rest);
-        }
-        return;
-      }
-      // Retries spent, no attribution: bisect.  Halves keep `exhausted` so
-      // a further unattributed failure keeps narrowing; an attributed one
-      // quarantines immediately.  Terminates: every split strictly shrinks
-      // the range, and size-1 ranges take the quarantine branch above.
-      const std::size_t mid = lo + (hi - lo) / 2;
-      for (const auto& half :
-           {std::pair<std::size_t, std::size_t>{lo, mid},
-            std::pair<std::size_t, std::size_t>{mid, hi}}) {
-        Shard s;
-        s.lo = half.first;
-        s.hi = half.second;
-        s.retries = shard.retries;
-        s.exhausted = true;
-        s.not_before = now + backoff_nanos(0);
-        s.failed_at = now;
-        queue.push_back(s);
-      }
-    };
-
-    const auto record_spec = [&](unsigned widx, std::size_t i, bool executed,
-                                 std::uint64_t nanos, RaceLog&& log) {
-      if (i >= n || ran[i] != 0 || quarantined.count(i) != 0) return;
-      per_spec[i] = std::move(log);
-      ran[i] = 1;
-      ++done_specs;
-      ++slot_done[widx];
-      if (executed) {
-        sup_reg.bump(metrics::Counter::kSpecRuns);
-        sup_reg.record(metrics::Histogram::kSpecRunNanos, nanos);
-      } else {
-        sup_reg.bump(metrics::Counter::kSweepDedupReuses);
-      }
-      if (per_spec[i].any()) {
-        ++racy_specs;
-        if (options.stop_after_first_race && i < first_racy) first_racy = i;
-      }
-    };
-
-    const auto process_line = [&](unsigned widx, Slot& s,
-                                  const std::string& line) {
-      s.last_activity = metrics::now_nanos();
-      std::istringstream in(line);
-      std::string verb;
-      in >> verb;
-      if (verb == "begin") {
-        std::size_t i = 0;
-        in >> i;
-        if (!in || i != s.next_expect) {
-          s.protocol_error = true;
-          return;
-        }
-        s.begun = true;
-        s.spec_start = s.last_activity;
-        char text[crash::InflightTable::kChars];
-        std::snprintf(text, sizeof text, "child[%d] spec[%zu] %s",
-                      s.child.pid(), i, family[i]->describe().c_str());
-        inflight.set(widx, text);
-      } else if (verb == "metrics") {
-        const std::size_t at = line.find(' ');
-        metrics::Snapshot snap;
-        if (at == std::string::npos ||
-            !snapshot_from_wire(line.substr(at + 1), &snap)) {
-          s.protocol_error = true;
-          return;
-        }
-        s.child_metrics = snap;
-        s.has_metrics = true;
-      } else if (verb == "spec") {
-        std::size_t i = 0;
-        int executed = 0;
-        std::uint64_t nanos = 0;
-        in >> i >> executed >> nanos;
-        std::string json;
-        std::getline(in, json);
-        if (!in || i != s.next_expect || json.size() < 2) {
-          s.protocol_error = true;
-          return;
-        }
-        json.erase(0, 1);  // the separating space
-        RaceLog log;
-        std::string error;
-        if (!race_log_from_json(json, &log, &error)) {
-          s.protocol_error = true;
-          return;
-        }
-        record_spec(widx, i, executed != 0, nanos, std::move(log));
-        s.next_expect = i + 1;
-        s.begun = false;
-        inflight.clear(widx);
-      } else if (verb == "done") {
-        s.done_seen = true;
-      } else {
+  const auto process_line = [&](unsigned widx, Slot& s,
+                                const std::string& line) {
+    s.last_activity = metrics::now_nanos();
+    std::istringstream in(line);
+    std::string verb;
+    in >> verb;
+    if (verb == "begin") {
+      std::size_t i = 0;
+      in >> i;
+      if (!in || i != s.next_expect || i >= s.shard.hi) {
         s.protocol_error = true;
-      }
-    };
-
-    const auto spawn_shard = [&](unsigned widx, Shard shard) {
-      const std::uint64_t now = metrics::now_nanos();
-      if (shard.failed_at != 0) {
-        // Failure-detection → replacement-spawn latency (includes backoff).
-        sup_reg.record(metrics::Histogram::kChildRestartNanos,
-                       now - shard.failed_at);
-      }
-      std::string postmortem;
-      if (!options.postmortem_dir.empty()) {
-        postmortem = options.postmortem_dir + "/child-" +
-                     std::to_string(shard.lo) + "-" +
-                     std::to_string(attempt_counter++) + ".postmortem";
-      }
-      auto slot = std::make_unique<Slot>();
-      slot->shard = shard;
-      slot->next_expect = shard.lo;
-      slot->postmortem = postmortem;
-      slot->last_activity = now;
-      slot->child = subprocess::Child::spawn(
-          [&make_program, &family, &options, shard, postmortem](int fd) {
-            return child_main(fd, make_program, family, options, shard,
-                              postmortem);
-          },
-          limits);
-      if (!slot->child.valid()) {
-        // fork()/pipe() failure — possibly transient resource exhaustion;
-        // send the whole range through the ordinary failure path.
-        on_shard_failure(shard, shard.lo, /*culprit_known=*/false, "error",
-                         0, postmortem);
         return;
       }
-      slots[widx] = std::move(slot);
-    };
-
-    // Reap + account a slot whose pipe closed.  Returns true when the slot
-    // was fully processed and freed.
-    const auto finalize_slot = [&](unsigned widx) {
-      Slot& s = *slots[widx];
-      if (!s.child.try_wait()) return false;
-      inflight.clear(widx);
-      if (s.has_metrics) {
-        const bool clean_exit =
-            s.child.status().kind == subprocess::ExitKind::kExited &&
-            s.child.status().exit_code == 0;
-        if (!clean_exit) {
-          // A dead child's live-level gauges (checkpoints) vanished with
-          // its address space: fold the high-water marks, not the levels.
-          for (auto& g : s.child_metrics.gauges) g.value = 0;
-        }
-        child_totals.add(s.child_metrics);
+      s.begun = true;
+      s.spec_start = s.last_activity;
+      sched.begin(widx, i, "child[" + std::to_string(s.child.pid()) + "] ");
+    } else if (verb == "metrics") {
+      const std::size_t at = line.find(' ');
+      metrics::Snapshot snap;
+      if (at == std::string::npos ||
+          !snapshot_from_wire(line.substr(at + 1), &snap)) {
+        s.protocol_error = true;
+        return;
       }
-      const bool success =
-          s.child.status().kind == subprocess::ExitKind::kExited &&
-          s.child.status().exit_code == 0 && s.done_seen &&
-          s.next_expect >= s.shard.hi && !s.protocol_error;
-      if (!s.discard && !success) {
-        sup_reg.bump(metrics::Counter::kSweepChildCrashes);
-        const bool culprit_known = s.begun && !s.protocol_error;
-        on_shard_failure(s.shard, s.next_expect, culprit_known,
-                         classify(s.child.status()),
-                         s.child.status().term_signal, s.postmortem);
+      s.child_metrics = snap;
+      s.has_metrics = true;
+    } else if (verb == "spec") {
+      std::size_t i = 0;
+      SpecExecutor::RunOutcome outcome;
+      in >> i >> outcome.executed >> outcome.nanos;
+      std::string json;
+      std::getline(in, json);
+      if (!in || i != s.next_expect || i >= s.shard.hi || json.size() < 2) {
+        s.protocol_error = true;
+        return;
       }
-      slots[widx].reset();
-      return true;
-    };
-
-    const auto running_count = [&] {
-      std::size_t c = 0;
-      for (const auto& s : slots) c += (s != nullptr);
-      return c;
-    };
-
-    // ----- main loop ------------------------------------------------------
-    for (;;) {
-      std::uint64_t now = metrics::now_nanos();
-
-      // Launch: fill free slots with eligible shards (backoff honored;
-      // stop-first trims ranges past the racy prefix).
-      for (unsigned w = 0; w < threads && !queue.empty(); ++w) {
-        if (slots[w]) continue;
-        auto it = std::find_if(queue.begin(), queue.end(), [&](Shard& q) {
-          return q.not_before <= now;
-        });
-        if (it == queue.end()) break;
-        Shard shard = *it;
-        queue.erase(it);
-        if (options.stop_after_first_race) {
-          shard.hi = std::min(shard.hi, first_racy + 1);
-          if (shard.lo >= shard.hi) continue;
-        }
-        spawn_shard(w, shard);
-        now = metrics::now_nanos();
+      json.erase(0, 1);  // the separating space
+      RaceLog log;
+      std::string error;
+      if (!race_log_from_json(json, &log, &error)) {
+        s.protocol_error = true;
+        return;
       }
+      *sched.log(i) = std::move(log);
+      sched.complete(widx, i, outcome, sup_reg);
+      s.next_expect = i + 1;
+      s.begun = false;
+    } else if (verb == "done") {
+      s.done_seen = true;
+    } else {
+      s.protocol_error = true;
+    }
+  };
 
-      if (queue.empty() && running_count() == 0) break;
+  // Hand every complete buffered line to process_line; a discarded slot's
+  // lines are dropped.
+  const auto drain_lines = [&](unsigned widx, Slot& s) {
+    std::size_t nl;
+    while ((nl = s.buf.find('\n')) != std::string::npos) {
+      const std::string line = s.buf.substr(0, nl);
+      s.buf.erase(0, nl + 1);
+      if (!line.empty() && !s.discard) process_line(widx, s, line);
+    }
+  };
 
-      // Drain pipes (bounded poll so deadlines and heartbeats stay live).
-      {
-        std::vector<int> fds;
-        for (const auto& s : slots) {
-          if (s && !s->eof && s->child.out_fd() >= 0) {
-            fds.push_back(s->child.out_fd());
-          }
-        }
-        if (fds.empty()) {
-          struct timespec ts = {0, 5'000'000};  // 5ms: backoff/reap wait
-          nanosleep(&ts, nullptr);
-        } else {
-          subprocess::poll_readable(fds, 20);
-        }
+  const auto spawn_shard = [&](unsigned widx, Shard shard) {
+    const std::uint64_t now = metrics::now_nanos();
+    if (shard.failed_at != 0) {
+      // Failure-detection → replacement-spawn latency (includes backoff).
+      sup_reg.record(metrics::Histogram::kChildRestartNanos,
+                     now - shard.failed_at);
+    }
+    std::string postmortem;
+    if (!options.postmortem_dir.empty()) {
+      postmortem = options.postmortem_dir + "/child-" +
+                   std::to_string(shard.lo) + "-" +
+                   std::to_string(attempt_counter++) + ".postmortem";
+    }
+    auto slot = std::make_unique<Slot>();
+    slot->shard = shard;
+    slot->next_expect = shard.lo;
+    slot->postmortem = postmortem;
+    slot->last_activity = now;
+    slot->child = subprocess::Child::spawn(
+        [&make_program, &family, &options, shard, postmortem](int fd) {
+          return child_main(fd, make_program, family, options, shard,
+                            postmortem);
+        },
+        limits);
+    if (!slot->child.valid()) {
+      // fork()/pipe() failure — possibly transient resource exhaustion;
+      // send the whole range through the ordinary failure path.
+      on_shard_failure(shard, shard.lo, /*culprit_known=*/false, "error", 0,
+                       postmortem);
+      return;
+    }
+    slots[widx] = std::move(slot);
+  };
+
+  // Reap + account a slot whose pipe closed.
+  const auto finalize_slot = [&](unsigned widx) {
+    Slot& s = *slots[widx];
+    if (!s.child.try_wait()) return;
+    sched.inflight.clear(widx);
+    const bool clean_exit =
+        s.child.status().kind == subprocess::ExitKind::kExited &&
+        s.child.status().exit_code == 0;
+    if (s.has_metrics) {
+      if (!clean_exit) {
+        // A dead child's live-level gauges (checkpoints) vanished with its
+        // address space: fold the high-water marks, not the levels.
+        for (auto& g : s.child_metrics.gauges) g.value = 0;
       }
-      for (unsigned w = 0; w < threads; ++w) {
-        if (!slots[w]) continue;
-        Slot& s = *slots[w];
-        if (!s.eof && !s.child.read_available(&s.buf)) s.eof = true;
-        std::size_t nl;
-        while ((nl = s.buf.find('\n')) != std::string::npos) {
-          const std::string line = s.buf.substr(0, nl);
-          s.buf.erase(0, nl + 1);
-          if (!line.empty()) process_line(w, s, line);
-        }
-      }
+      child_totals.add(s.child_metrics);
+    }
+    const bool success = clean_exit && s.done_seen &&
+                         s.next_expect >= s.shard.hi && !s.protocol_error;
+    if (!s.discard && !success) {
+      sup_reg.bump(metrics::Counter::kSweepChildCrashes);
+      const bool culprit_known = s.begun && !s.protocol_error;
+      on_shard_failure(s.shard, s.next_expect, culprit_known,
+                       classify(s.child.status()),
+                       s.child.status().term_signal, s.postmortem);
+    }
+    slots[widx].reset();
+  };
 
-      // Deadlines: per-spec timeout, watchdog-kill, stop-first discard.
+  // ----- main loop --------------------------------------------------------
+  SweepMonitor monitor(sched);
+  for (;;) {
+    std::uint64_t now = metrics::now_nanos();
+
+    // Launch: fill free slots with eligible shards (backoff honored;
+    // stop-first trims ranges past the racy prefix).
+    for (unsigned w = 0; w < threads && !queue.empty(); ++w) {
+      if (slots[w]) continue;
+      auto it = std::find_if(queue.begin(), queue.end(),
+                             [&](Shard& q) { return q.not_before <= now; });
+      if (it == queue.end()) break;
+      Shard shard = *it;
+      queue.erase(it);
+      shard.hi = std::min(shard.hi, sched.bound());
+      if (shard.lo >= shard.hi) continue;
+      spawn_shard(w, shard);
       now = metrics::now_nanos();
-      for (unsigned w = 0; w < threads; ++w) {
-        if (!slots[w] || slots[w]->eof) continue;
-        Slot& s = *slots[w];
-        const bool spec_overdue =
-            options.spec_timeout_ms > 0 && s.begun &&
-            now - s.spec_start > ms_to_nanos(options.spec_timeout_ms);
-        const bool stalled =
-            options.watchdog_kill && options.watchdog_ms > 0 &&
-            now - s.last_activity > ms_to_nanos(options.watchdog_ms);
-        const bool irrelevant = options.stop_after_first_race &&
-                                s.next_expect > first_racy;
-        if (spec_overdue || stalled) {
-          s.child.kill_timeout();
-        } else if (irrelevant) {
-          // Results already salvaged stay; the rest can never join the
-          // deterministic prefix [0, first_racy].
-          s.discard = true;
-          s.child.kill_hard();
-        } else {
-          continue;
-        }
-        // Drain what the pipe still holds, then let finalize classify.
-        while (s.child.read_available(&s.buf)) {
-        }
-        s.eof = true;
-        std::size_t nl;
-        while ((nl = s.buf.find('\n')) != std::string::npos) {
-          const std::string line = s.buf.substr(0, nl);
-          s.buf.erase(0, nl + 1);
-          if (!line.empty() && !s.discard) process_line(w, s, line);
-        }
-      }
-
-      // Reap.
-      for (unsigned w = 0; w < threads; ++w) {
-        if (slots[w] && slots[w]->eof) finalize_slot(w);
-      }
-
-      // Inline monitor duties.
-      now = metrics::now_nanos();
-      sup_reg.gauge_set(metrics::Gauge::kSweepQueueDepth,
-                        static_cast<std::int64_t>(n - done_specs));
-      shared.publish(0, live_totals());
-      if (options.progress &&
-          now - last_heartbeat >= ms_to_nanos(heartbeat_ms)) {
-        last_heartbeat = now;
-        rate.sample(now, done_specs);
-        progress_out << heartbeat_line(/*final=*/false) << std::endl;
-      }
-      if (options.metrics_out != nullptr) {
-        sampler.maybe_sample(done_specs, n, live_totals());
-      }
-      if (options.watchdog_ms > 0) {
-        if (done_specs != watchdog_last_done) {
-          watchdog_last_done = done_specs;
-          last_change = now;
-          watchdog_armed = true;
-        } else if (watchdog_armed && done_specs < n &&
-                   now - last_change >= ms_to_nanos(options.watchdog_ms)) {
-          // Diagnosis always; recovery (the kill path above) only with
-          // --watchdog-kill.  One report per stall episode.
-          crash::write_postmortem(options.watchdog_fd,
-                                  "watchdog: sweep stalled");
-          sup_reg.bump(metrics::Counter::kPostmortemDumps);
-          watchdog_armed = false;
-        }
-      }
     }
 
-    // Final monitor output (exact totals: everything has been reaped).
-    sup_reg.gauge_set(metrics::Gauge::kSweepQueueDepth,
-                      static_cast<std::int64_t>(n - done_specs));
-    if (options.progress) {
-      progress_out << heartbeat_line(/*final=*/true) << std::endl;
-    }
-    if (options.metrics_out != nullptr) {
-      sampler.final_sample(done_specs, n, live_totals());
+    if (queue.empty() && std::all_of(slots.begin(), slots.end(),
+                                     [](const auto& s) { return !s; })) {
+      break;
     }
 
-    // Merge exactly the deterministic prefix, skipping quarantined holes —
-    // identical to the in-process merge on the surviving members.
-    const std::size_t limit = first_racy < n ? first_racy + 1 : n;
+    // Drain pipes (bounded poll so deadlines and heartbeats stay live).
     {
-      metrics::Scope scope(&merge_reg);
-      metrics::PhaseTimer timer(metrics::Phase::kMerge);
-      prof::Phase merge_phase("merge");
-      for (std::size_t i = 0; i < limit; ++i) {
-        if (ran[i] != 0) {
-          result.log.merge(per_spec[i]);
-          ++result.spec_runs;
-          continue;
+      std::vector<int> fds;
+      for (const auto& s : slots) {
+        if (s && !s->eof && s->child.out_fd() >= 0) {
+          fds.push_back(s->child.out_fd());
         }
-        const auto it = quarantined.find(i);
-        RADER_CHECK_MSG(it != quarantined.end(),
-                        "isolated sweep left a hole in the merged prefix");
-        result.failures.push_back(it->second);
+      }
+      if (fds.empty()) {
+        struct timespec ts = {0, 5'000'000};  // 5ms: backoff/reap wait
+        nanosleep(&ts, nullptr);
+      } else {
+        subprocess::poll_readable(fds, 20);
       }
     }
+    for (unsigned w = 0; w < threads; ++w) {
+      if (!slots[w]) continue;
+      Slot& s = *slots[w];
+      if (!s.eof && !s.child.read_available(&s.buf)) s.eof = true;
+      drain_lines(w, s);
+    }
+
+    // Deadlines: per-spec timeout, watchdog-kill, stop-first discard.
+    now = metrics::now_nanos();
+    for (unsigned w = 0; w < threads; ++w) {
+      if (!slots[w] || slots[w]->eof) continue;
+      Slot& s = *slots[w];
+      const bool spec_overdue =
+          options.spec_timeout_ms > 0 && s.begun &&
+          now - s.spec_start > ms_to_nanos(options.spec_timeout_ms);
+      const bool stalled =
+          options.watchdog_kill && options.watchdog_ms > 0 &&
+          now - s.last_activity > ms_to_nanos(options.watchdog_ms);
+      if (spec_overdue || stalled) {
+        s.child.kill_timeout();
+      } else if (!sched.admits(s.next_expect)) {
+        // Results already salvaged stay; the rest can never join the
+        // deterministic prefix.
+        s.discard = true;
+        s.child.kill_hard();
+      } else {
+        continue;
+      }
+      // Drain what the pipe still holds, then let finalize classify.
+      while (s.child.read_available(&s.buf)) {
+      }
+      s.eof = true;
+      drain_lines(w, s);
+    }
+
+    // Reap.
+    for (unsigned w = 0; w < threads; ++w) {
+      if (slots[w] && slots[w]->eof) finalize_slot(w);
+    }
+
+    publish_children();
+    monitor.tick();
   }
-  crash::clear_sources();
-  result.specs_skipped = total - result.spec_runs - result.failures.size();
-  result.metrics.add(child_totals);
-  result.metrics.add(sup_reg.snapshot());
-  result.metrics.add(merge_reg.snapshot());
-  if (metrics::Registry* outer = metrics::current()) {
-    outer->absorb(result.metrics);
-  }
-  if (outer_prof != nullptr) {
-    outer_prof->absorb(sweep_prof.root());
-  }
-  return result;
+  // Exact totals: everything has been reaped.
+  monitor.finish();
+  return child_totals;
 }
 
 }  // namespace rader::sweep_internal

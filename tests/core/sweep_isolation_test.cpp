@@ -22,6 +22,8 @@
 #include "spec/steal_spec.hpp"
 #include "support/faultpoint.hpp"
 #include "support/metrics.hpp"
+#include "support/profile.hpp"
+#include "support/trace.hpp"
 
 namespace rader {
 namespace {
@@ -378,6 +380,40 @@ TEST(SweepIsolation, PostmortemDirCollectsCrashDumps) {
   // Best-effort cleanup (the postmortem names are attempt-numbered).
   std::remove(result.failures[0].postmortem.c_str());
   ::rmdir(dir);
+}
+
+// The known observability boundary of isolation: per-spec profile nodes
+// and per-worker trace tracks are recorded inside the children and are not
+// shipped over the wire, so an isolated sweep's profile has only the
+// supervisor's "sweep" and "sweep;merge" nodes and its trace session gains
+// no "sweep-wN" track (docs/OBSERVABILITY.md).  The in-process sweep of the
+// same family has both.
+TEST(SweepIsolation, PerSpecProfileAndTraceStayInTheChildren) {
+  const auto family = depth_family(6);
+  for (const auto isolation : {SweepIsolation::kNone, SweepIsolation::kProcs}) {
+    const bool in_process = isolation == SweepIsolation::kNone;
+    prof::Profiler profiler;
+    trace::Session session;
+    {
+      prof::Scope pscope(&profiler);
+      trace::Scope tscope(&session);
+      SweepOptions options;
+      options.isolation = isolation;
+      options.threads = 2;
+      const SweepResult result = Rader::check_with_family(
+          shared_program([] { racy_two_reads(); }), family, options);
+      EXPECT_EQ(result.spec_runs, family.size());
+    }
+    const std::string folded = prof::collapsed(profiler.root());
+    EXPECT_NE(folded.find("sweep;merge "), std::string::npos) << folded;
+    EXPECT_EQ(folded.find("sweep;spec") != std::string::npos, in_process)
+        << folded;
+    bool worker_track = false;
+    for (const trace::Buffer* b : session.buffers()) {
+      worker_track = worker_track || b->name().rfind("sweep-w", 0) == 0;
+    }
+    EXPECT_EQ(worker_track, in_process);
+  }
 }
 
 // The ISSUE's acceptance bar: a 1000-spec family with one crashing and one
