@@ -70,8 +70,7 @@ class PeerSetDetector final : public Tool {
 /// on worker 0 in depth-first order, byte-identical to a serial no-steal
 /// stream, so the serial detector runs unchanged — same bags, same shadow,
 /// same reports — while the program itself executes on all cores.  Peer-Set
-/// consumes no memory accesses, so wants_accesses() stays false and the
-/// engine's access hooks remain near-free.
+/// consumes no memory accesses, and the engine records none.
 class ParallelPeerSet final : public ParallelTool {
  public:
   explicit ParallelPeerSet(RaceLog* log) : detector_(log) {}

@@ -55,21 +55,6 @@ void ParallelEngine::set_tool(ParallelTool* tool) {
 
 void ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
   if (tool_ == nullptr || w.suppress > 0 || w.frames.empty()) return;
-  switch (e.kind) {
-    case ShardEvent::Kind::kFrameEnter:
-    case ShardEvent::Kind::kFrameReturn:
-    case ShardEvent::Kind::kSync:
-      // A parallel-control event ends the worker's current strand.
-      ++w.strand_epoch;
-      break;
-    case ShardEvent::Kind::kClear:
-      // Freed addresses may be reused by a later allocation: retire the
-      // whole strand's dedup state (clears are rare; coarse is fine).
-      ++w.strand_epoch;
-      break;
-    default:
-      break;
-  }
   w.frames.back().cur_ev->push_back(e);
   metrics::bump(metrics::Counter::kShardEvents);
 }
@@ -131,8 +116,6 @@ void ParallelEngine::run(FnView root) {
     reducer_ids_.clear();
     reducers_.clear();
   }
-  record_accesses_ = tool_ != nullptr && tool_->wants_accesses();
-
   WorkerState& w = *workers_[0];
   tl_worker_ = &w;
   trace::set_worker(0);
@@ -223,7 +206,6 @@ void ParallelEngine::run(FnView root) {
     for (auto& wk : workers_) wk->metrics.reset();
   }
 
-  record_accesses_ = false;
   trace::emit(trace::EventKind::kRunEnd, kInvalidFrame,
               steals_.load(std::memory_order_relaxed), 0);
   tl_worker_ = nullptr;
@@ -248,7 +230,6 @@ void ParallelEngine::spawn_task(Task task) {
   if (tool_ != nullptr) {
     item.segment_ev = std::make_unique<EventShard>();
     f.cur_ev = item.segment_ev.get();
-    ++w.strand_epoch;  // the continuation is a new strand
   }
   ChildRecord* rec = item.child.get();
   f.items.push_back(std::move(item));
@@ -473,14 +454,6 @@ void ParallelEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
   e.slot = h;
   e.label = tag.label;
   record(self(), e);
-  if (record_accesses_) {
-    // The leftmost view's storage dies with the reducer (the serial
-    // engine's teardown clear).
-    ShardEvent c{ShardEvent::Kind::kClear};
-    c.addr = reinterpret_cast<std::uintptr_t>(r->hyper_leftmost());
-    c.size = static_cast<std::uint32_t>(r->hyper_view_size());
-    record(self(), c);
-  }
 }
 
 void* ParallelEngine::current_view(HyperobjectBase* r, SrcTag) {
@@ -519,59 +492,16 @@ void ParallelEngine::reducer_read(HyperobjectBase* r, ReducerOp op,
 }
 
 void ParallelEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
-  if (!running_.load(std::memory_order_acquire) || tl_worker_ == nullptr) {
+  if (tool_ == nullptr || !running_.load(std::memory_order_acquire) ||
+      tl_worker_ == nullptr) {
     return;
   }
-  WorkerState& w = self();
-  ++w.view_aware_depth;
-  if (tool_ == nullptr) return;
   const ReducerId h = get_or_register(r, r->hyper_leftmost());
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kUpdate)};
   e.slot = h;
   e.label = tag.label;
-  record(w, e);
-}
-
-void ParallelEngine::end_update(HyperobjectBase*) {
-  if (!running_.load(std::memory_order_acquire) || tl_worker_ == nullptr) {
-    return;
-  }
-  WorkerState& w = self();
-  if (w.view_aware_depth > 0) --w.view_aware_depth;
-}
-
-void ParallelEngine::access(AccessKind kind, std::uintptr_t addr,
-                            std::size_t size, SrcTag tag) {
-  if (!record_accesses_ || tl_worker_ == nullptr) return;
-  WorkerState& w = *tl_worker_;
-  if (w.suppress > 0 || w.frames.empty()) return;
-  // Per-strand dedup through the worker's private shadow shard: the payload
-  // keys (strand epoch, access kind) on the access's first byte, so a hot
-  // loop records one event per strand instead of millions.  Best-effort by
-  // contract (ParallelTool::wants_accesses): at least one event per
-  // (strand, location, kind) survives; multiplicity does not.
-  const shadow::ShadowSpace::Payload payload =
-      (w.strand_epoch << 1) |
-      (kind == AccessKind::kWrite ? 1u : 0u);
-  if (w.shadow.get(addr) == payload) return;
-  w.shadow.set(addr, payload);
-  ShardEvent e{ShardEvent::Kind::kAccess, static_cast<std::uint8_t>(kind)};
-  e.view_aware = w.view_aware_depth > 0;
-  e.addr = addr;
-  e.size = static_cast<std::uint32_t>(size);
-  e.label = tag.label;
-  record(w, e);
-}
-
-void ParallelEngine::clear_shadow(std::uintptr_t addr, std::size_t size) {
-  if (!record_accesses_ || tl_worker_ == nullptr) return;
-  WorkerState& w = *tl_worker_;
-  if (w.suppress > 0 || w.frames.empty()) return;
-  ShardEvent e{ShardEvent::Kind::kClear};
-  e.addr = addr;
-  e.size = static_cast<std::uint32_t>(size);
-  record(w, e);
+  record(self(), e);
 }
 
 }  // namespace rader

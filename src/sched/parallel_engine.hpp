@@ -39,7 +39,6 @@
 #include "runtime/engine.hpp"
 #include "runtime/hyperobject.hpp"
 #include "sched/worksteal_deque.hpp"
-#include "shadow/shadow_space.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "tool/shard.hpp"
@@ -80,16 +79,17 @@ class ParallelEngine final : public Engine {
   void spawn_task(Task task) override;
   void call_inline(FnView fn) override;
   void sync() override;
-  void access(AccessKind kind, std::uintptr_t addr, std::size_t size,
-              SrcTag tag) override;
-  void clear_shadow(std::uintptr_t addr, std::size_t size) override;
+  // A ParallelTool gets control and reducer events only: memory accesses,
+  // shadow clears and the end of Update code record nothing.
+  void access(AccessKind, std::uintptr_t, std::size_t, SrcTag) override {}
+  void clear_shadow(std::uintptr_t, std::size_t) override {}
   void register_reducer(HyperobjectBase* r, void* leftmost_view,
                         SrcTag tag) override;
   void unregister_reducer(HyperobjectBase* r, SrcTag tag) override;
   void* current_view(HyperobjectBase* r, SrcTag tag) override;
   void reducer_read(HyperobjectBase* r, ReducerOp op, SrcTag tag) override;
   void begin_update(HyperobjectBase* r, SrcTag tag) override;
-  void end_update(HyperobjectBase* r) override;
+  void end_update(HyperobjectBase*) override {}
 
  private:
   // Views of one segment, keyed by reducer.  std::map keeps the fold order
@@ -132,18 +132,9 @@ class ParallelEngine final : public Engine {
     // Per-worker accounting, folded into the caller's metrics sink at the
     // end of each run (sweep workers fold theirs the same way).
     metrics::Registry metrics;
-    // Per-worker access-dedup shard: maps addresses to the worker strand
-    // that last recorded them so hot loops don't flood the event shards.
-    // Private to the worker; epochs are monotonic across runs, so stale
-    // entries never match and the space never needs clearing.
-    shadow::ShadowSpace shadow;
-    std::uint32_t strand_epoch = 1;
     // Nested engine-internal user code (Reduce / CreateIdentity) whose
     // events have no counterpart in the serial no-steal stream.
     int suppress = 0;
-    // User Update code depth (begin_update/end_update), for the view_aware
-    // flag on recorded accesses.
-    unsigned view_aware_depth = 0;
   };
 
   static thread_local WorkerState* tl_worker_;
@@ -162,8 +153,7 @@ class ParallelEngine final : public Engine {
   void wake_helpers();
 
   /// Append `e` to the calling worker's current segment shard (no-op
-  /// without a tool, under suppression, or outside a frame).  Control
-  /// events and clears advance the worker's strand epoch.
+  /// without a tool, under suppression, or outside a frame).
   void record(WorkerState& w, const ShardEvent& e);
 
   ReducerId get_or_register(HyperobjectBase* r, void* leftmost);
@@ -184,7 +174,6 @@ class ParallelEngine final : public Engine {
   // Written between runs only; read by workers during a run (ordered by the
   // deque push/steal that hands them their first task).
   ParallelTool* tool_ = nullptr;
-  bool record_accesses_ = false;
   std::unique_ptr<ShardReplayer> replayer_;  // worker 0 only
 
   std::mutex reg_mu_;

@@ -1,128 +1,66 @@
-// Reader/writer shadow facade over the two slot encodings.
+// The detectors' reader/writer shadow: the paper's two shadow spaces,
+// "reader" and "writer", as one PackedShadow whose 64-bit slots hold both
+// ids plus the access extent (packed_shadow.hpp).  The logical interface
+// is two uint32 payload maps with kEmpty = uint32(-1) for "no payload".
 //
-// The detectors used to own a PAIR of shadow::ShadowSpace instances
-// (reader + writer).  AccessShadow keeps that logical interface — two
-// uint32 payload maps with kEmpty sentinels — but routes it to one of:
-//
-//  * SlotEncoding::kPacked — a single PackedShadow whose 64-bit slots
-//    hold both fields plus the access extent (packed_shadow.hpp).  The
-//    production default: one lookup per granule instead of two, array-
-//    indexed chunk pages instead of hash probes, O(1) epoch clear.
-//  * SlotEncoding::kLegacy — the original pair of ShadowSpaces, kept
-//    alive as the reference implementation the shadow-equivalence
-//    battery (tests/shadow/shadow_equivalence_test.cpp) diffs against.
-//
-// Both encodings normalize "no payload" to kEmpty = uint32(-1), so
-// detector comparisons (and therefore race reports) are identical by
-// construction; the battery proves it byte-for-byte on random programs.
-//
-// The extent offsets are recorded only by the packed backend (the legacy
-// slots have no room); callers must treat them as diagnostics, never as
-// report inputs — see the granularity regression tests.
+// The extent offsets are diagnostics, never report inputs — see the
+// granularity regression tests.
 //
 // check_access is the race check and shadow update behind every
-// detector's access, and the hot path.  Under kPacked it walks a page-run as
-// maximal runs of identical 64-bit slots: one decision, one encode and one
-// fill per run, with reports still made per granule.  Under kLegacy it is
-// a plain per-granule loop.  tests/shadow/access_walk_test.cpp holds both
-// to a per-granule reference.
+// detector's access, and the hot path.  It walks a page-run as maximal
+// runs of identical 64-bit slots: one decision, one encode and one fill
+// per run, with reports still made per granule.
+// tests/shadow/access_walk_test.cpp holds it to a per-granule reference,
+// and tests/shadow/shadow_equivalence_test.cpp holds whole sweeps to the
+// golden output of the original paired-map shadow.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 
 #include "shadow/packed_shadow.hpp"
-#include "shadow/shadow_space.hpp"
 #include "support/metrics.hpp"
 
 namespace rader::shadow {
 
-enum class SlotEncoding : int {
-  kPacked = 0,  // production: combined 8-byte slots
-  kLegacy = 1,  // reference: paired ShadowSpaces
-};
-
-/// Process-wide default used by AccessShadow's default constructor.
-/// Set by tests/benches before constructing detectors; detectors built
-/// concurrently with a change may see either value (atomic, relaxed).
-SlotEncoding default_encoding();
-void set_default_encoding(SlotEncoding encoding);
-
-/// Two logical payload maps (reader + writer) behind one interface.
-/// Same single-thread ownership contract as the backends: a facade and
+/// Two logical payload maps (reader + writer) over one PackedShadow.
+/// Same single-thread ownership contract as PackedShadow: a shadow and
 /// its forks stay on one thread.
 class AccessShadow {
  public:
   using Payload = std::uint32_t;
-  static constexpr Payload kEmpty = static_cast<Payload>(-1);
-  /// Largest id storable under EITHER encoding (the packed field is the
-  /// binding constraint).
+  static constexpr Payload kEmpty = PackedShadow::kEmpty;
   static constexpr Payload kMaxPayload = PackedShadow::kMaxPayload;
 
-  AccessShadow() : AccessShadow(default_encoding()) {}
-  explicit AccessShadow(SlotEncoding encoding) : enc_(encoding) {}
+  AccessShadow() = default;
   AccessShadow(const AccessShadow&) = delete;
   AccessShadow& operator=(const AccessShadow&) = delete;
   AccessShadow(AccessShadow&&) noexcept = default;
   AccessShadow& operator=(AccessShadow&&) noexcept = default;
 
-  SlotEncoding encoding() const { return enc_; }
+  Payload reader(std::uintptr_t g) { return packed_.reader(g); }
+  Payload writer(std::uintptr_t g) { return packed_.writer(g); }
 
-  Payload reader(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.reader(g)
-                                         : legacy_reader_.get(g);
-  }
-  Payload writer(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.writer(g)
-                                         : legacy_writer_.get(g);
-  }
-
-  /// `offset` is the first byte of the access within granule `g`;
-  /// recorded (clamped) by the packed backend, ignored by the legacy one.
+  /// `offset` is the first byte of the access within granule `g`,
+  /// recorded clamped to the 4-bit extent field.
   void set_reader(std::uintptr_t g, Payload v, unsigned offset = 0) {
-    if (enc_ == SlotEncoding::kPacked) {
-      packed_.set_reader(g, v, offset);
-    } else {
-      legacy_reader_.set(g, v);
-    }
+    packed_.set_reader(g, v, offset);
   }
   void set_writer(std::uintptr_t g, Payload v, unsigned offset = 0) {
-    if (enc_ == SlotEncoding::kPacked) {
-      packed_.set_writer(g, v, offset);
-    } else {
-      legacy_writer_.set(g, v);
-    }
+    packed_.set_writer(g, v, offset);
   }
 
-  /// Recorded extents (packed backend only; 0 under kLegacy).
-  unsigned reader_offset(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.reader_offset(g) : 0;
-  }
-  unsigned writer_offset(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.writer_offset(g) : 0;
-  }
+  /// Recorded extents (diagnostic).
+  unsigned reader_offset(std::uintptr_t g) { return packed_.reader_offset(g); }
+  unsigned writer_offset(std::uintptr_t g) { return packed_.writer_offset(g); }
 
   /// Reset both fields of one granule.
-  void clear_granule(std::uintptr_t g) {
-    if (enc_ == SlotEncoding::kPacked) {
-      packed_.clear_granule(g);
-    } else {
-      legacy_reader_.set(g, kEmpty);
-      legacy_writer_.set(g, kEmpty);
-    }
-  }
+  void clear_granule(std::uintptr_t g) { packed_.clear_granule(g); }
 
   /// Reset granules [first, last] (the detectors' on_clear path): one fill
-  /// per present page under kPacked, per-granule clears under kLegacy.
+  /// per present page.
   void clear_range(std::uintptr_t first, std::uintptr_t last) {
-    if (enc_ == SlotEncoding::kPacked) {
-      packed_.clear_range(first, last);
-      return;
-    }
-    for (std::uintptr_t g = first;; ++g) {
-      clear_granule(g);
-      if (g == last) break;
-    }
+    packed_.clear_range(first, last);
   }
 
   /// A detector's verdict on one prior (reader or writer) id for the
@@ -142,17 +80,15 @@ class AccessShadow {
   /// access's first byte b within g.  Counts the access in
   /// detector.accesses_instrumented and the access-bytes histogram.
   ///
-  /// Under kPacked the walk goes one page-run at a time (peek_run, then
-  /// writable_run once a store is due) and splits each page-run into
-  /// maximal runs of identical slots.  A run is decided once (memoized on
+  /// The walk goes one page-run at a time (peek_run, then writable_run
+  /// once a store is due) and splits each page-run into maximal runs of
+  /// identical slots.  A run is decided once (memoized on
   /// its (reader, writer) pair, so a next run that differs only in offsets
   /// reuses the decision), reports per granule when it races, and is
   /// stored with one fill.  Every granule of a run gets the same new slot
   /// except the access's first granule, the only one whose extent offset
   /// can be non-zero.  So a multi-byte access by one strand pays one
-  /// disjoint-set find and one fill, not one of each per granule.  Under
-  /// kLegacy every granule is classified afresh, which makes the
-  /// encoding-equivalence battery a check of that memo too.
+  /// disjoint-set find and one fill, not one of each per granule.
   template <class Classify, class Report>
   void check_access(bool is_write, std::uintptr_t addr, std::size_t size,
                     unsigned granule_bits, Payload cur, Classify&& classify,
@@ -177,20 +113,6 @@ class AccessShadow {
     const auto first_byte = [&](std::uintptr_t h) {
       return h == first ? addr : h << granule_bits;
     };
-    if (enc_ == SlotEncoding::kLegacy) {
-      for (std::uintptr_t h = first;; ++h) {
-        const Payload r = legacy_reader_.get(h);
-        const Payload w = legacy_writer_.get(h);
-        const unsigned d = decide(r, w);
-        if (d & kReaderRaces) report(h, first_byte(h), r, false);
-        if (d & kWriterRaces) report(h, first_byte(h), w, true);
-        if (d & kReplace) {
-          (is_write ? legacy_writer_ : legacy_reader_).set(h, cur);
-        }
-        if (h == last) break;
-      }
-      return;
-    }
     const auto store = [&](std::uint64_t slot, unsigned off) {
       return is_write ? PackedShadow::with_writer(slot, cur, off)
                       : PackedShadow::with_reader(slot, cur, off);
@@ -242,34 +164,21 @@ class AccessShadow {
     }
   }
 
-  /// Bulk clear: O(1) under kPacked (epoch bump), page walk under kLegacy.
-  void clear() {
-    if (enc_ == SlotEncoding::kPacked) {
-      packed_.clear();
-    } else {
-      legacy_reader_.clear();
-      legacy_writer_.clear();
-    }
+  /// Bulk clear: O(1) epoch bump.
+  void clear() { packed_.clear(); }
+
+  /// Copy-on-write snapshot sharing every page with the source.
+  AccessShadow fork() const {
+    AccessShadow f;
+    f.packed_ = packed_.fork();
+    return f;
   }
 
-  /// Copy-on-write snapshot (both encodings share pages with the source).
-  AccessShadow fork() const;
-
-  /// Shadow pages referenced by this facade (both backends' accounting).
-  std::size_t page_count() const {
-    return enc_ == SlotEncoding::kPacked
-               ? packed_.page_count()
-               : legacy_reader_.page_count() + legacy_writer_.page_count();
-  }
-
-  /// Packed backend escape hatch for epoch/geometry tests.
+  /// Escape hatch for epoch/geometry tests.
   PackedShadow& packed_for_testing() { return packed_; }
 
  private:
-  SlotEncoding enc_;
   PackedShadow packed_;
-  ShadowSpace legacy_reader_;
-  ShadowSpace legacy_writer_;
 };
 
 }  // namespace rader::shadow

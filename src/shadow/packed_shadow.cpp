@@ -274,7 +274,7 @@ void PackedShadow::clear_range(std::uintptr_t first, std::uintptr_t last) {
 void PackedShadow::clear() {
   if (epoch_ == ~std::uint64_t{0}) {
     // Epoch exhaustion (2^64 - 1 clears, or a test jumping the counter):
-    // degrade to one legacy-style full release and restart the epochs.
+    // degrade to one full release and restart the epochs.
     release_directory();
     epoch_ = 1;
   } else {
@@ -314,8 +314,7 @@ PackedShadow PackedShadow::fork() const {
     }
   }
   // The fork holds its own reference to every shared page (through the
-  // shared chunks): the gauge counts mapped pages once per holder, like
-  // the legacy space.
+  // shared chunks): the gauge counts mapped pages once per holder.
   pages_live_delta(static_cast<std::int64_t>(f.page_count_));
   return f;
 }

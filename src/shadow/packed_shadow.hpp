@@ -1,12 +1,11 @@
-// Production-footprint shadow memory: the packed-slot backend.
+// The detectors' shadow memory: one packed slot per granule.
 //
-// shadow::ShadowSpace (shadow_space.hpp) is tuned for litmus-sized
-// programs: an unordered_map page index, one uint32 payload per granule,
-// and a clear() that walks and frees every page.  The detectors pair two
-// of them (reader + writer), so every access pays two hash-map lookups
-// once it leaves the one-page lookaside — the dominant cost on multi-MB
-// footprints (bench/large_footprint).  PackedShadow is the production
-// replacement:
+// SP-bags and SP+ keep the paper's two shadow spaces, "reader" and
+// "writer".  Kept as two maps of uint32 payloads behind an unordered_map
+// page index, every access pays two hash-map lookups once it leaves a
+// one-page lookaside, and a clear() walks and frees every page — the
+// dominant cost on multi-MB footprints (bench/large_footprint keeps that
+// layout as its baseline).  PackedShadow stores both spaces in one:
 //
 //  * COMBINED SLOT ENCODING — reader and writer live in ONE 64-bit slot:
 //      bits [ 0,28)  reader id   (28-bit field, all-ones = empty)
@@ -14,21 +13,20 @@
 //      bits [56,60)  reader offset: first byte of the recorded access
 //                    within its granule, clamped to 15
 //      bits [60,64)  writer offset, same clamp
-//    One lookup serves both spaces, and memset(0xFF) still initializes
-//    every field to empty, exactly like the legacy pages.  Detector
-//    payloads (disjoint-set nodes / strand refs) must fit 28 bits —
-//    2^28-1 ids, ~16x beyond anything the engines mint — enforced by
-//    RADER_CHECK on every store.
+//    One lookup serves both spaces, and memset(0xFF) initializes every
+//    field to empty.  Detector payloads (disjoint-set nodes / strand
+//    refs) must fit 28 bits — 2^28-1 ids, ~16x beyond anything the
+//    engines mint — enforced by RADER_CHECK on every store.
 //
 //  * SHARDED TWO-LEVEL DIRECTORY WITH LOCK-FREE LOOKUP — granule space is
 //    covered by chunks of 512 pages x 4096 slots (2^21 granules per
 //    chunk).  Chunk pointers live in kShards open-addressed hash tables;
 //    a single writer (the owning thread) publishes new chunks and pages
-//    with release stores, so concurrent readers on other threads (the
-//    parallel engine's per-worker spaces, future shared-space modes)
-//    locate any published slot with acquire loads and zero locking.
-//    Within a chunk, page lookup is an array index — no hashing — which
-//    is where the multi-MB speedup over the unordered_map comes from.
+//    with release stores, so concurrent readers on other threads (future
+//    shared-space modes) locate any published slot with acquire loads and
+//    zero locking.  Within a chunk, page lookup is an array index — no
+//    hashing — which is where the multi-MB speedup over the unordered_map
+//    comes from.
 //
 //  * EPOCH-TAGGED BULK CLEAR — clear() increments the space's epoch and
 //    returns: O(1) instead of a page walk (shadow.epoch_clears).  Pages
@@ -37,7 +35,7 @@
 //    first write (shadow.page_resets).  Epochs only grow per space, and
 //    a written page is always re-stamped to the CURRENT epoch, so a
 //    stale page can never spuriously revalidate.  On (unlikely) epoch
-//    exhaustion clear() degrades to one legacy-style full release.
+//    exhaustion clear() degrades to one full release.
 //
 //  * ARENA-BACKED PAGE POOL WITH TWO-LEVEL CoW FORKS — pages come from a
 //    PageArena shared (shared_ptr) between a space and its forks, with an
@@ -45,20 +43,19 @@
 //    malloc churn.  Sharing is copy-on-write at BOTH directory levels:
 //    fork() copies only the shard tables and bumps each CHUNK's refcount
 //    — O(#chunks), a few hundred nanoseconds for a multi-MB footprint,
-//    where the legacy space copies an unordered_map node per page.  The
-//    first write through a shared chunk clones the chunk (bumping its
-//    pages' refcounts), and the first write to a shared page un-shares
-//    the page (shadow.pages_cow).  Page refcounts count referencing
-//    CHUNKS; chunk refcounts count referencing SPACES.  This is what
-//    makes the prefix sweep's per-spec checkpoint forks cheap even when
-//    the checkpoint shadows millions of granules.  Like the legacy
-//    space, a space and its forks must stay on one thread (refcounts and
-//    the arena are intentionally non-atomic); the lock-free guarantees
-//    above cover foreign READERS only.
+//    where a per-page map would copy one node per page.  The first write
+//    through a shared chunk clones the chunk (bumping its pages'
+//    refcounts), and the first write to a shared page un-shares the page
+//    (shadow.pages_cow).  Page refcounts count referencing CHUNKS; chunk
+//    refcounts count referencing SPACES.  This is what makes the prefix
+//    sweep's per-spec checkpoint forks cheap even when the checkpoint
+//    shadows millions of granules.  A space and its forks must stay on
+//    one thread (refcounts and the arena are intentionally non-atomic);
+//    the lock-free guarantees above cover foreign READERS only.
 //
-// Gauge conservation (shadow.pages_live) matches the legacy contract:
-// every directory reference counts in once (allocation or fork) and out
-// once (release, full reset, destruction).
+// Gauge conservation (shadow.pages_live): every directory reference
+// counts in once (allocation or fork) and out once (release, full reset,
+// destruction).
 #pragma once
 
 #include <atomic>
@@ -74,7 +71,7 @@ namespace rader::shadow {
 class PackedShadow {
  public:
   using Payload = std::uint32_t;
-  /// Facade-level empty sentinel, identical to ShadowSpace::kEmpty.
+  /// Empty sentinel of the decoded payload (AccessShadow::kEmpty).
   static constexpr Payload kEmpty = static_cast<Payload>(-1);
   /// In-slot empty field (28 ones) and the largest storable id.
   static constexpr Payload kFieldEmpty = (Payload{1} << 28) - 1;
@@ -288,7 +285,7 @@ class PackedShadow {
   // on use); the write cache only ever holds a page PROVEN exclusive and
   // current-epoch — a write through a stale pointer would leak into forks
   // or resurrect cleared state.  fork() drops the write cache (mutable,
-  // const source), exactly like the legacy space.
+  // const source).
   std::uintptr_t cached_ckey_ = kNoKey;
   Chunk* cached_chunk_ = nullptr;
   std::uintptr_t cached_pkey_ = kNoKey;

@@ -66,13 +66,6 @@ void ShardReplayer::feed(const EventShard& shard) {
         tool_->on_reducer_op(static_cast<ReducerOp>(e.a), map_slot(e.slot),
                              SrcTag{e.label});
         break;
-      case ShardEvent::Kind::kAccess:
-        tool_->on_access(static_cast<AccessKind>(e.a), e.addr, e.size,
-                         e.view_aware, kBaseView, SrcTag{e.label});
-        break;
-      case ShardEvent::Kind::kClear:
-        tool_->on_clear(e.addr, e.size);
-        break;
     }
   }
 }

@@ -46,16 +46,11 @@ struct ShardEvent {
     kSync,         // frame executed a non-trivial sync
     kBind,         // silent first-contact marker; slot = engine reducer slot
     kReducerOp,    // a = ReducerOp; slot; label
-    kAccess,       // a = AccessKind; addr/size/view_aware; label
-    kClear,        // addr/size
   };
 
   Kind kind;
-  std::uint8_t a = 0;        // FrameKind / ReducerOp / AccessKind payload
-  bool view_aware = false;   // kAccess: inside Update user code
+  std::uint8_t a = 0;        // FrameKind / ReducerOp payload
   ReducerId slot = kInvalidReducer;  // engine reducer slot (kBind/kReducerOp)
-  std::uintptr_t addr = 0;   // kAccess / kClear
-  std::uint32_t size = 0;    // kAccess / kClear
   const char* label = "";    // SrcTag (string literals; outlive the run)
 };
 

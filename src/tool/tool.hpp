@@ -168,7 +168,7 @@ class ToolChain final : public Tool {
   std::vector<Tool*> tools_;
 };
 
-/// Capability surface for tools attached to the PARALLEL engine
+/// Marker type for tools attached to the PARALLEL engine
 /// (sched/parallel_engine.hpp).  The engine records per-segment event shards
 /// during a real work-stealing execution and replays the spliced stream —
 /// byte-identical to a serial no-steal run — through the Tool callbacks on
@@ -176,20 +176,9 @@ class ToolChain final : public Tool {
 /// invoked concurrently; a serial detector works unchanged behind this
 /// surface (core/peerset.hpp's ParallelPeerSet).
 ///
-/// Capabilities let the engine skip recording event classes the tool will
-/// ignore: memory accesses dominate event volume, and Peer-Set — the first
-/// parallel-backend detector — never consumes them.
-class ParallelTool : public Tool {
- public:
-  /// Opt in to kAccess / kClear shard events.  When false (the default) the
-  /// engine's access() / clear_shadow() hooks stay near-free.  Recorded
-  /// accesses are deduplicated per worker strand via the engine's private
-  /// per-worker shadow::ShadowSpace (a dedup map, not a detector shadow):
-  /// at least one event per (strand, location, kind) is delivered, but
-  /// same-strand repeats may be dropped — exact multiplicity is not
-  /// preserved.
-  virtual bool wants_accesses() const { return false; }
-};
+/// A ParallelTool gets control and reducer events only: the engine records
+/// no memory accesses or shadow clears, which Peer-Set never consumes.
+class ParallelTool : public Tool {};
 
 /// The Figure-8 baseline: identical instrumentation, empty callbacks.
 using EmptyTool = Tool;

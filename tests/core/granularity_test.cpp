@@ -8,7 +8,6 @@
 #include "core/spplus.hpp"
 #include "runtime/api.hpp"
 #include "runtime/run.hpp"
-#include "shadow/access_shadow.hpp"
 #include "spec/steal_spec.hpp"
 
 namespace rader {
@@ -136,34 +135,24 @@ TEST(Granularity, DistinctRacesInOneGranuleKeepDistinctReports) {
             reinterpret_cast<std::uintptr_t>(&buf[5]));
 }
 
-TEST(Granularity, DistinctReportsSurviveBothSlotEncodings) {
+TEST(Granularity, DistinctReportsSurviveThePackedSlot) {
   // The packed slot stores the access extent in a 4-bit field; the report
   // address must come from the CURRENT access, never from that (possibly
-  // clamped) stored extent — so the byte addresses are identical under both
-  // encodings.
+  // clamped) stored extent.
   alignas(8) char buf[8] = {};
-  const shadow::SlotEncoding saved = shadow::default_encoding();
-  for (const auto enc :
-       {shadow::SlotEncoding::kPacked, shadow::SlotEncoding::kLegacy}) {
-    shadow::set_default_encoding(enc);
-    const RaceLog log = check_spplus(
-        [&] {
-          spawn([&] { shadow_write(&buf[0], 8, SrcTag{"word writer"}); });
-          shadow_read(&buf[1], 1, SrcTag{"byte read"});
-          shadow_read(&buf[5], 1, SrcTag{"byte read"});
-          sync();
-        },
-        3);
-    const int which = static_cast<int>(enc);
-    ASSERT_EQ(log.determinacy_races().size(), 2u) << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[0].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[1]))
-        << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[1].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[5]))
-        << "encoding " << which;
-  }
-  shadow::set_default_encoding(saved);
+  const RaceLog log = check_spplus(
+      [&] {
+        spawn([&] { shadow_write(&buf[0], 8, SrcTag{"word writer"}); });
+        shadow_read(&buf[1], 1, SrcTag{"byte read"});
+        shadow_read(&buf[5], 1, SrcTag{"byte read"});
+        sync();
+      },
+      3);
+  ASSERT_EQ(log.determinacy_races().size(), 2u);
+  EXPECT_EQ(log.determinacy_races()[0].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[1]));
+  EXPECT_EQ(log.determinacy_races()[1].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[5]));
 }
 
 TEST(Granularity, OffsetsBeyondThePackedExtentFieldKeepTrueAddresses) {
@@ -172,28 +161,19 @@ TEST(Granularity, OffsetsBeyondThePackedExtentFieldKeepTrueAddresses) {
   // saturation must stay diagnostic: a race at offset 29 still reports the
   // true byte address, not an address clamped to the extent field's reach.
   alignas(32) char buf[32] = {};
-  const shadow::SlotEncoding saved = shadow::default_encoding();
-  for (const auto enc :
-       {shadow::SlotEncoding::kPacked, shadow::SlotEncoding::kLegacy}) {
-    shadow::set_default_encoding(enc);
-    const RaceLog log = check_spplus(
-        [&] {
-          spawn([&] { shadow_write(&buf[0], 32, SrcTag{"granule writer"}); });
-          shadow_read(&buf[1], 1, SrcTag{"byte read"});
-          shadow_read(&buf[29], 1, SrcTag{"byte read"});
-          sync();
-        },
-        5);
-    const int which = static_cast<int>(enc);
-    ASSERT_EQ(log.determinacy_races().size(), 2u) << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[0].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[1]))
-        << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[1].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[29]))
-        << "encoding " << which;
-  }
-  shadow::set_default_encoding(saved);
+  const RaceLog log = check_spplus(
+      [&] {
+        spawn([&] { shadow_write(&buf[0], 32, SrcTag{"granule writer"}); });
+        shadow_read(&buf[1], 1, SrcTag{"byte read"});
+        shadow_read(&buf[29], 1, SrcTag{"byte read"});
+        sync();
+      },
+      5);
+  ASSERT_EQ(log.determinacy_races().size(), 2u);
+  EXPECT_EQ(log.determinacy_races()[0].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[1]));
+  EXPECT_EQ(log.determinacy_races()[1].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[29]));
 }
 
 TEST(Granularity, AccessAtTopOfAddressSpaceDoesNotWrap) {

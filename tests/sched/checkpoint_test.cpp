@@ -8,7 +8,7 @@
 //      execution — same race log, same stats, same reducer-view identity
 //      minting, same simulated-worker stamping under tracing.
 //   2. fork() gives every detector (SP-bags, SP-order, SP+, Peer-Set) and
-//      the copy-on-write ShadowSpace an INDEPENDENT clone: events fed to
+//      the copy-on-write PackedShadow an INDEPENDENT clone: events fed to
 //      one side never leak into the other.
 //
 // These tests check both promises directly, without the sweep in between.
@@ -29,7 +29,7 @@
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
 #include "runtime/serial_engine.hpp"
-#include "shadow/shadow_space.hpp"
+#include "shadow/packed_shadow.hpp"
 #include "spec/steal_spec.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
@@ -345,35 +345,36 @@ TEST(DetectorFork, ForkedDetectorIsIndependentOfTheOriginal) {
   }
 }
 
-TEST(ShadowSpaceFork, CopyOnWriteForksAreIndependent) {
+TEST(PackedShadowFork, CopyOnWriteForksAreIndependent) {
   metrics::Registry reg;
   metrics::Scope scope(&reg);
 
-  shadow::ShadowSpace space;
-  space.set(0x1000, 7);
-  space.set(0x2000, 9);
+  // Granules 0x1000 and 0x2000 sit on different pages of one chunk.
+  shadow::PackedShadow space;
+  space.set_writer(0x1000, 7);
+  space.set_writer(0x2000, 9);
 
-  shadow::ShadowSpace forked = space.fork();
-  ASSERT_EQ(forked.get(0x1000), 7u);
-  ASSERT_EQ(forked.get(0x2000), 9u);
+  shadow::PackedShadow forked = space.fork();
+  ASSERT_EQ(forked.writer(0x1000), 7u);
+  ASSERT_EQ(forked.writer(0x2000), 9u);
 
   // Writes on either side un-share the touched page only.
   const std::uint64_t cow_before =
       reg.snapshot().counter(metrics::Counter::kShadowPagesCoW);
-  forked.set(0x1000, 42);
-  space.set(0x2000, 13);
-  EXPECT_EQ(space.get(0x1000), 7u);
-  EXPECT_EQ(forked.get(0x1000), 42u);
-  EXPECT_EQ(forked.get(0x2000), 9u);
-  EXPECT_EQ(space.get(0x2000), 13u);
+  forked.set_writer(0x1000, 42);
+  space.set_writer(0x2000, 13);
+  EXPECT_EQ(space.writer(0x1000), 7u);
+  EXPECT_EQ(forked.writer(0x1000), 42u);
+  EXPECT_EQ(forked.writer(0x2000), 9u);
+  EXPECT_EQ(space.writer(0x2000), 13u);
   const std::uint64_t cow_after =
       reg.snapshot().counter(metrics::Counter::kShadowPagesCoW);
   EXPECT_GE(cow_after, cow_before + 2) << "both writes must copy a page";
 
   // A second fork of the (now partially un-shared) space still snapshots.
-  shadow::ShadowSpace again = space.fork();
-  EXPECT_EQ(again.get(0x1000), 7u);
-  EXPECT_EQ(again.get(0x2000), 13u);
+  shadow::PackedShadow again = space.fork();
+  EXPECT_EQ(again.writer(0x1000), 7u);
+  EXPECT_EQ(again.writer(0x2000), 13u);
 }
 
 }  // namespace

@@ -11,8 +11,7 @@
 // identical shadow.pages_touched / pages_cow / page_resets counters.  The
 // streams cover granule sizes 0..3, accesses and clears straddling page and
 // chunk boundaries, absent pages, stale-epoch pages (after clear()) and
-// pages CoW-shared with a fork.  A third side runs the walk over the legacy
-// encoding, whose per-granule fallback must report the same races.
+// pages CoW-shared with a fork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,12 +106,9 @@ struct Op {
 /// One side of the comparison: the shadow being driven, the forks that
 /// share its pages, and what it reported.
 struct Side {
-  enum class Mode { kReference, kWalk, kLegacyWalk };
+  enum class Mode { kReference, kWalk };
 
-  explicit Side(Mode m)
-      : mode(m),
-        shadow(m == Mode::kLegacyWalk ? SlotEncoding::kLegacy
-                                      : SlotEncoding::kPacked) {}
+  explicit Side(Mode m) : mode(m) {}
 
   void apply(const Op& op, unsigned gb) {
     metrics::Scope scope(&registry);
@@ -241,12 +237,10 @@ TEST_P(AccessWalk, MatchesThePerGranuleReference) {
     const std::vector<Op> stream = make_stream(seed, gb, 400);
     Side ref(Side::Mode::kReference);
     Side walk(Side::Mode::kWalk);
-    Side legacy(Side::Mode::kLegacyWalk);
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const Op& op = stream[i];
       ref.apply(op, gb);
       walk.apply(op, gb);
-      legacy.apply(op, gb);
       if (op.kind != OpKind::kRead && op.kind != OpKind::kWrite &&
           op.kind != OpKind::kClear) {
         continue;
@@ -262,19 +256,13 @@ TEST_P(AccessWalk, MatchesThePerGranuleReference) {
         ASSERT_EQ(raw_slot(walk.shadow.packed_for_testing(), g),
                   raw_slot(ref.shadow.packed_for_testing(), g))
             << "seed " << seed << " op " << i << " granule " << g;
-        ASSERT_EQ(legacy.shadow.reader(g), ref.shadow.reader(g))
-            << "seed " << seed << " op " << i << " granule " << g;
-        ASSERT_EQ(legacy.shadow.writer(g), ref.shadow.writer(g))
-            << "seed " << seed << " op " << i << " granule " << g;
         if (g == hi) break;
       }
       ASSERT_EQ(walk.reports.size(), ref.reports.size())
           << "seed " << seed << " op " << i;
     }
     EXPECT_EQ(walk.reports, ref.reports) << "seed " << seed;
-    EXPECT_EQ(legacy.reports, ref.reports) << "seed " << seed;
     EXPECT_EQ(walk.log.to_json(), ref.log.to_json()) << "seed " << seed;
-    EXPECT_EQ(legacy.log.to_json(), ref.log.to_json()) << "seed " << seed;
     for (const auto c : {metrics::Counter::kShadowPagesTouched,
                          metrics::Counter::kShadowPagesCoW,
                          metrics::Counter::kShadowPageResets}) {
@@ -321,17 +309,15 @@ constexpr AccessShadow::Verdict kSeries{false, true};
 constexpr AccessShadow::Verdict kParallelKept{true, false};
 constexpr AccessShadow::Verdict kParallelReplaced{true, true};
 
-/// The reference, the walk and the legacy walk driven by the same ops.
+/// The reference and the walk driven by the same ops.
 struct Sides {
   Side ref{Side::Mode::kReference};
   Side walk{Side::Mode::kWalk};
-  Side legacy{Side::Mode::kLegacyWalk};
 
   void apply(const std::vector<Op>& ops, unsigned gb) {
     for (const Op& op : ops) {
       ref.apply(op, gb);
       walk.apply(op, gb);
-      legacy.apply(op, gb);
     }
   }
 
@@ -342,14 +328,10 @@ struct Sides {
       ASSERT_EQ(raw_slot(walk.shadow.packed_for_testing(), g),
                 raw_slot(ref.shadow.packed_for_testing(), g))
           << "granule " << g;
-      ASSERT_EQ(legacy.shadow.reader(g), ref.shadow.reader(g)) << g;
-      ASSERT_EQ(legacy.shadow.writer(g), ref.shadow.writer(g)) << g;
       if (g == hi) break;
     }
     EXPECT_EQ(walk.reports, ref.reports);
-    EXPECT_EQ(legacy.reports, ref.reports);
     EXPECT_EQ(walk.log.to_json(), ref.log.to_json());
-    EXPECT_EQ(legacy.log.to_json(), ref.log.to_json());
     for (const auto c : {metrics::Counter::kShadowPagesTouched,
                          metrics::Counter::kShadowPagesCoW,
                          metrics::Counter::kShadowPageResets}) {
@@ -408,7 +390,7 @@ TEST(AccessWalkEdge, RunsBrokenOnlyByAnOffsetShareOneDecision) {
             raw_slot(p, g0 + 3) & PackedShadow::kPairMask);
 
   // Three runs, one pair: the walk classifies the writer once.
-  AccessShadow probe(SlotEncoding::kPacked);
+  AccessShadow probe;
   for (const Op& op : {ops[0], ops[1]}) {
     probe.check_access(
         true, op.addr, op.size, gb, op.cur,
@@ -491,13 +473,13 @@ TEST(AccessWalkDeathTest, OversizePayloadIsRejected) {
   const auto ignore = [](std::uintptr_t, std::uintptr_t, Payload, bool) {};
   EXPECT_DEATH(
       {
-        AccessShadow s(SlotEncoding::kPacked);
+        AccessShadow s;
         s.check_access(true, kPageGranules, 8, 0, too_big, replace, ignore);
       },
       "28-bit slot field");
   EXPECT_DEATH(
       {
-        AccessShadow s(SlotEncoding::kPacked);
+        AccessShadow s;
         s.check_access(true, kPageGranules, 8, 0, 9, replace, ignore);
         s.check_access(false, kPageGranules, 8, 0, too_big, replace, ignore);
       },

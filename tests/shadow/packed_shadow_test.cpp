@@ -1,15 +1,20 @@
 // PackedShadow unit coverage: the compressed slot encoding, the epoch-
-// tagged bulk clear (including rollover), lookaside-cache staleness, and
-// the two-level CoW fork economics — the corners the shadow-equivalence
-// battery exercises only statistically.
+// tagged bulk clear (including rollover), lookaside-cache staleness, the
+// two-level CoW fork economics — the corners the golden shadow battery
+// exercises only statistically — and a primitive-level oracle: every
+// operation, forks included, against a plain map per space.
 #include "shadow/packed_shadow.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "shadow/access_shadow.hpp"
+#include "support/rng.hpp"
 
 namespace rader::shadow {
 namespace {
@@ -21,6 +26,28 @@ TEST(PackedShadow, UnsetGranulesAreEmpty) {
   EXPECT_EQ(s.reader(0), PackedShadow::kEmpty);
   EXPECT_EQ(s.writer(0xdeadbeef), PackedShadow::kEmpty);
   EXPECT_EQ(s.page_count(), 0u);  // reads never allocate
+}
+
+// The shadow-space paging contract (page mapping and byte accounting), held
+// by the one shadow the detectors use.
+TEST(ShadowSpace, CrossesPageBoundaries) {
+  PackedShadow s;
+  const std::uintptr_t boundary = PackedShadow::kPageSlots * 10;
+  s.set_writer(boundary - 1, 1);
+  s.set_writer(boundary, 2);
+  EXPECT_EQ(s.writer(boundary - 1), 1u);
+  EXPECT_EQ(s.writer(boundary), 2u);
+  EXPECT_EQ(s.page_count(), 2u);
+}
+
+TEST(ShadowSpace, BytesAccountsPages) {
+  PackedShadow s;
+  EXPECT_EQ(s.bytes(), 0u);
+  s.set_writer(0, 1);
+  EXPECT_GE(s.bytes(), PackedShadow::kPageSlots * sizeof(std::uint64_t));
+  s.set_writer(PackedShadow::kPageSlots, 2);
+  EXPECT_GE(s.bytes(), 2 * PackedShadow::kPageSlots * sizeof(std::uint64_t))
+      << "bytes() accounts every mapped page";
 }
 
 TEST(PackedShadow, ReaderAndWriterShareOneSlotIndependently) {
@@ -224,6 +251,115 @@ TEST(PackedShadow, ForkAfterForkChains) {
   EXPECT_EQ(grand.writer(0xC000), 3u);
 }
 
+// ---- Primitive-level oracle ------------------------------------------------
+
+// What one granule should hold: ids (kEmpty when unset) and the offsets
+// recorded with them.
+struct RefSlot {
+  PackedShadow::Payload reader = PackedShadow::kEmpty;
+  PackedShadow::Payload writer = PackedShadow::kEmpty;
+  unsigned reader_offset = 0;
+  unsigned writer_offset = 0;
+};
+using RefMap = std::unordered_map<std::uintptr_t, RefSlot>;
+
+void expect_matches(PackedShadow& s, const RefMap& ref, std::uintptr_t g,
+                    int step) {
+  const auto it = ref.find(g);
+  const RefSlot want = it == ref.end() ? RefSlot{} : it->second;
+  ASSERT_EQ(s.reader(g), want.reader) << "granule " << g << ", op " << step;
+  ASSERT_EQ(s.writer(g), want.writer) << "granule " << g << ", op " << step;
+  if (want.reader != PackedShadow::kEmpty) {
+    ASSERT_EQ(s.reader_offset(g), want.reader_offset) << "granule " << g;
+  }
+  if (want.writer != PackedShadow::kEmpty) {
+    ASSERT_EQ(s.writer_offset(g), want.writer_offset) << "granule " << g;
+  }
+}
+
+TEST(PackedShadow, MatchesReferenceMapUnderRandomOps) {
+  // Up to four live spaces (forks of forks, some overwritten by move), each
+  // with its own reference map.  Granules cluster on three low pages, so
+  // the lookasides and page-runs are exercised, and on the two pages that
+  // end at UINTPTR_MAX; half of all ops revisit a granule already written.
+  Rng rng(77);
+  std::vector<PackedShadow> spaces(1);
+  std::vector<RefMap> refs(1);
+  std::vector<std::uintptr_t> written;  // every granule ever set
+  const auto granule = [&]() -> std::uintptr_t {
+    if (!written.empty() && rng.chance(0.5)) {
+      return written[rng.below(written.size())];
+    }
+    return rng.chance(0.5) ? 0x10000 + rng.below(3 * PackedShadow::kPageSlots)
+                           : kTop - rng.below(2 * PackedShadow::kPageSlots);
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const std::size_t k = rng.below(spaces.size());
+    PackedShadow& s = spaces[k];
+    RefMap& ref = refs[k];
+    const std::uint64_t roll = rng.below(1000);
+    const std::uintptr_t g = granule();
+    if (roll < 300) {
+      const bool write = (roll & 1) != 0;
+      const auto v = rng.chance(0.05)
+                         ? PackedShadow::kEmpty
+                         : static_cast<PackedShadow::Payload>(rng.below(1000));
+      const auto off = static_cast<unsigned>(rng.below(20));
+      RefSlot& r = ref[g];
+      written.push_back(g);
+      if (write) {
+        s.set_writer(g, v, off);
+        r.writer = v;
+        r.writer_offset = std::min(off, PackedShadow::kMaxOffset);
+      } else {
+        s.set_reader(g, v, off);
+        r.reader = v;
+        r.reader_offset = std::min(off, PackedShadow::kMaxOffset);
+      }
+    } else if (roll < 360) {
+      s.clear_granule(g);
+      ref.erase(g);
+      expect_matches(s, ref, g, step);
+    } else if (roll < 380) {
+      const std::uintptr_t span = rng.below(PackedShadow::kPageSlots + 50);
+      const std::uintptr_t last = g > kTop - span ? kTop : g + span;
+      s.clear_range(g, last);
+      for (auto it = ref.begin(); it != ref.end();) {
+        it = it->first >= g && it->first <= last ? ref.erase(it) : ++it;
+      }
+      for (std::uintptr_t h = g;; ++h) {
+        expect_matches(s, ref, h, step);
+        if (::testing::Test::HasFatalFailure() || h == last) break;
+      }
+    } else if (roll < 383) {
+      s.clear();
+      ref.clear();
+    } else if (roll < 388) {
+      PackedShadow f = s.fork();
+      const RefMap copy = ref;
+      if (spaces.size() < 4) {
+        spaces.push_back(std::move(f));
+        refs.push_back(copy);
+      } else {
+        const std::size_t j = rng.below(spaces.size());
+        spaces[j] = std::move(f);  // releases the overwritten space
+        refs[j] = copy;
+      }
+    } else {
+      expect_matches(s, ref, g, step);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Cleared granules are absent from the maps, so sweep every granule
+  // ever written: one that survived a clear shows up here.
+  for (std::size_t k = 0; k < spaces.size(); ++k) {
+    for (const std::uintptr_t g : written) {
+      expect_matches(spaces[k], refs[k], g, -1);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 TEST(PackedShadow, MoveTransfersStateAndLeavesSourceEmpty) {
   PackedShadow a;
   a.set_writer(0xD000, 4);
@@ -238,36 +374,29 @@ TEST(PackedShadow, MoveTransfersStateAndLeavesSourceEmpty) {
 
 // ---- Facade ----------------------------------------------------------------
 
+// The name dates from when AccessShadow switched between two slot
+// encodings; the body now holds the one layer over PackedShadow.
 TEST(AccessShadow, BothEncodingsAgreeOnTheLogicalInterface) {
-  for (const SlotEncoding enc : {SlotEncoding::kPacked,
-                                 SlotEncoding::kLegacy}) {
-    AccessShadow s(enc);
-    EXPECT_EQ(s.reader(0x100), AccessShadow::kEmpty);
-    s.set_reader(0x100, 1, 2);
-    s.set_writer(0x100, 2, 3);
-    EXPECT_EQ(s.reader(0x100), 1u);
-    EXPECT_EQ(s.writer(0x100), 2u);
-    s.clear_granule(0x100);
-    EXPECT_EQ(s.reader(0x100), AccessShadow::kEmpty);
-    EXPECT_EQ(s.writer(0x100), AccessShadow::kEmpty);
-    s.set_writer(0x200, 7);
-    AccessShadow f = s.fork();
-    f.set_writer(0x200, 8);
-    s.clear();
-    EXPECT_EQ(s.writer(0x200), AccessShadow::kEmpty);
-    EXPECT_EQ(f.writer(0x200), 8u);
-  }
+  AccessShadow s;
+  EXPECT_EQ(s.reader(0x100), AccessShadow::kEmpty);
+  s.set_reader(0x100, 1, 2);
+  s.set_writer(0x100, 2, 3);
+  EXPECT_EQ(s.reader(0x100), 1u);
+  EXPECT_EQ(s.writer(0x100), 2u);
+  s.clear_granule(0x100);
+  EXPECT_EQ(s.reader(0x100), AccessShadow::kEmpty);
+  EXPECT_EQ(s.writer(0x100), AccessShadow::kEmpty);
+  s.set_writer(0x200, 7);
+  AccessShadow f = s.fork();
+  f.set_writer(0x200, 8);
+  s.clear();
+  EXPECT_EQ(s.writer(0x200), AccessShadow::kEmpty);
+  EXPECT_EQ(f.writer(0x200), 8u);
 }
 
-TEST(AccessShadow, DefaultEncodingIsPackedAndOverridable) {
-  EXPECT_EQ(default_encoding(), SlotEncoding::kPacked);
-  AccessShadow s;
-  EXPECT_EQ(s.encoding(), SlotEncoding::kPacked);
-  set_default_encoding(SlotEncoding::kLegacy);
-  AccessShadow t;
-  EXPECT_EQ(t.encoding(), SlotEncoding::kLegacy);
-  set_default_encoding(SlotEncoding::kPacked);
-}
+// AccessShadow is a layer over exactly one PackedShadow: a second backend
+// would have to grow it.
+static_assert(sizeof(AccessShadow) == sizeof(PackedShadow));
 
 }  // namespace
 }  // namespace rader::shadow

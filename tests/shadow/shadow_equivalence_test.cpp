@@ -1,39 +1,33 @@
-// Packed-vs-legacy slot-encoding equivalence battery.
+// Golden shadow battery: the production shadow against the frozen output
+// of the original paired-map shadow.
 //
-// shadow::AccessShadow (shadow/access_shadow.hpp) promises that the slot
-// encoding changes only the storage cost, never the answer: for
-// address-stable programs the merged sweep report is BYTE-IDENTICAL
-// between SlotEncoding::kPacked (the production 8-byte combined slots)
-// and SlotEncoding::kLegacy (the original paired ShadowSpaces) at every
-// thread count — same race identity sets, same occurrence totals, same
-// eliciting-spec sets, same spec accounting.
+// shadow::AccessShadow (shadow/access_shadow.hpp) replaced a pair of
+// uint32 page maps (reader + writer) with one packed 64-bit slot per
+// granule.  That change promised to alter only the storage cost, never
+// the answer: for address-stable programs the merged sweep report is
+// byte-identical at every thread count — same race identity sets, same
+// occurrence totals, same eliciting-spec sets, same spec accounting.
 //
-// The battery drives RADER_SHADOW_EQ_PROGRAMS seeded programs (default:
-// the compile-time RADER_SHADOW_EQ_DEFAULT; the fast gate builds this
-// file with 50, the stress target with 300) through the full Section-7
-// sweep under both encodings at jobs 1 and 4 and literally compares
-// RaceLog::to_json().  The corpus rules are the ones byte-identity
-// requires — see tests/core/sweep_equivalence_test.cpp, whose seeded
-// program shape this reuses: global-pool addresses, annotate-only
-// accesses, seed-pure control flow.
+// Before the paired maps were deleted, their output on this battery's
+// corpus was frozen in tests/shadow/golden/shadow_sweep.golden: per seed,
+// spec_runs, specs_skipped, any_race and a digest of the address-
+// normalized RaceLog::to_json() (shadow_golden.hpp).  The battery sweeps
+// RADER_SHADOW_EQ_PROGRAMS seeded programs (default: the compile-time
+// RADER_SHADOW_EQ_DEFAULT; the fast gate builds this file with 50, the
+// stress target with 300) through the full Section-7 family at jobs 1
+// and 4 and compares every run with its golden row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/driver.hpp"
 #include "core/sweep.hpp"
-#include "reducers/monoid.hpp"
-#include "reducers/reducer.hpp"
-#include "runtime/api.hpp"
-#include "runtime/serial_engine.hpp"
-#include "shadow/access_shadow.hpp"
-#include "spec/spec_family.hpp"
-#include "spec/steal_spec.hpp"
+#include "shadow_golden.hpp"
 
 #ifndef RADER_SHADOW_EQ_DEFAULT
 #define RADER_SHADOW_EQ_DEFAULT 300
@@ -42,7 +36,7 @@
 namespace rader {
 namespace {
 
-using shadow::SlotEncoding;
+using golden::GoldenRow;
 
 int program_count() {
   if (const char* env = std::getenv("RADER_SHADOW_EQ_PROGRAMS")) {
@@ -52,175 +46,94 @@ int program_count() {
   return RADER_SHADOW_EQ_DEFAULT;
 }
 
-/// RAII encoding override: the detectors consult the process default when
-/// constructed, so flipping it around a sweep exercises every detector the
-/// sweep builds (including per-spec and per-worker instances).
-struct EncodingScope {
-  explicit EncodingScope(SlotEncoding enc)
-      : saved(shadow::default_encoding()) {
-    shadow::set_default_encoding(enc);
+/// The golden rows of one kind ("sweep" or "driver"), in file order.
+std::vector<GoldenRow> golden_rows(const std::string& kind) {
+  std::ifstream in(RADER_SHADOW_GOLDEN);
+  EXPECT_TRUE(in.good()) << "cannot open " << RADER_SHADOW_GOLDEN;
+  std::vector<GoldenRow> rows;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    GoldenRow row;
+    EXPECT_TRUE(golden::parse_row(line, &row)) << "malformed: " << line;
+    if (row.kind == kind) rows.push_back(row);
   }
-  ~EncodingScope() { shadow::set_default_encoding(saved); }
-  SlotEncoding saved;
-};
-
-// ---- The seeded corpus (sweep_equivalence_test's shape) --------------------
-
-struct Rng {
-  std::uint64_t state;
-  std::uint64_t next() {  // splitmix64
-    state += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = state;
-    z ^= z >> 30;
-    z *= 0xBF58476D1CE4E5B9ull;
-    z ^= z >> 27;
-    z *= 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-};
-
-// Named racing locations; programs only annotate, never store.
-int g_pool[16];
-
-void node(Rng& rng, reducer<monoid::op_add<long>>& sum, int depth) {
-  const int actions = 2 + static_cast<int>(rng.next() % 3);
-  for (int a = 0; a < actions; ++a) {
-    const std::uint64_t roll = rng.next();
-    const int slot = static_cast<int>((roll >> 8) % 16);
-    switch (roll % 5) {
-      case 0:
-      case 1: {
-        const bool deeper = depth < 3 && (roll & (1u << 20)) != 0;
-        spawn([&rng, &sum, slot, deeper, depth] {
-          shadow_write(&g_pool[slot], sizeof(int), SrcTag{"eq spawned write"});
-          sum += 1;
-          if (deeper) node(rng, sum, depth + 1);
-        });
-        break;
-      }
-      case 2:
-        shadow_read(&g_pool[slot], sizeof(int), SrcTag{"eq continuation read"});
-        break;
-      case 3:
-        shadow_write(&g_pool[slot], sizeof(int),
-                     SrcTag{"eq continuation write"});
-        break;
-      case 4:
-        sync();
-        break;
-    }
-  }
-  (void)sum.get_value(SrcTag{"eq tail read"});
-  sync();
+  return rows;
 }
 
-struct SeededProgram {
-  std::uint64_t seed;
-
-  void operator()() const {
-    Rng rng{(seed + 1) * 0x9E3779B97F4A7C15ull};
-    reducer<monoid::op_add<long>> sum(SrcTag{"eq sum"});
-    const int slot = static_cast<int>(rng.next() % 16);
-    spawn([&sum, slot] {
-      shadow_write(&g_pool[slot], sizeof(int), SrcTag{"eq spawned write"});
-      sum += 1;
-    });
-    shadow_read(&g_pool[slot], sizeof(int), SrcTag{"eq continuation read"});
-    node(rng, sum, 0);
-    sync();
-  }
+/// A run's row and the normalized log it digests (printed on mismatch).
+struct Measured {
+  GoldenRow row;
+  std::string normalized;
 };
 
-std::vector<std::unique_ptr<spec::StealSpec>> family_for(
-    const SeededProgram& program) {
-  SerialEngine::Stats probe;
-  {
-    spec::NoSteal none;
-    SerialEngine engine(nullptr, &none);
-    engine.run([&] { program(); });
-    probe = engine.stats();
+Measured measure(const GoldenRow& want, const RaceLog& log,
+                 std::uint64_t spec_runs, std::uint64_t specs_skipped) {
+  Measured m;
+  m.normalized = golden::normalize_addresses(log.to_json());
+  m.row = GoldenRow{want.kind,     want.seed, spec_runs,
+                    specs_skipped, log.any(), golden::log_digest(m.normalized)};
+  return m;
+}
+
+/// Fails loudly when the corpus asks for more seeds than were frozen.
+void require_golden_seeds(const std::vector<GoldenRow>& rows, int wanted,
+                          const char* kind) {
+  ASSERT_LE(static_cast<std::size_t>(wanted), rows.size())
+      << wanted << " " << kind << " seeds requested, but "
+      << RADER_SHADOW_GOLDEN << " holds only " << rows.size()
+      << ": lower RADER_SHADOW_EQ_PROGRAMS; the paired-map shadow that "
+         "produced the file no longer exists to extend it";
+  for (int i = 0; i < wanted; ++i) {
+    ASSERT_EQ(rows[i].seed, static_cast<std::uint64_t>(i + 1))
+        << kind << " rows must list seeds 1.. in order";
   }
-  const auto k = std::max<std::uint32_t>(
-      1, std::min<std::uint32_t>(probe.max_sync_block, 6));
-  const auto d = std::max<std::uint64_t>(
-      1, std::min<std::uint64_t>(probe.max_spawn_depth, 10));
-  auto family = spec::full_coverage_family(k, d);
-  family.push_back(std::make_unique<spec::NoSteal>());
-  family.push_back(std::make_unique<spec::StealAll>());
-  return family;
 }
 
-struct SweepDigest {
-  std::string log_json;
-  std::uint64_t spec_runs = 0;
-  std::uint64_t specs_skipped = 0;
-  bool any_race = false;
-};
-
-SweepDigest run_sweep(const SeededProgram& program,
-                      const std::vector<std::unique_ptr<spec::StealSpec>>& fam,
-                      SlotEncoding encoding, unsigned threads) {
-  EncodingScope scope(encoding);
-  SweepOptions options;
-  options.threads = threads;
-  const SweepResult result =
-      sweep_family(shared_program([program] { program(); }), fam, options);
-  return SweepDigest{result.log.to_json(), result.spec_runs,
-                     result.specs_skipped, result.log.any()};
-}
-
-// ---- Byte-identity battery -------------------------------------------------
+// ---- Golden battery --------------------------------------------------------
 
 TEST(ShadowEncodingEquivalence, PackedByteIdenticalToLegacyAtEveryJobCount) {
   const int kPrograms = program_count();
+  const std::vector<GoldenRow> rows = golden_rows("sweep");
+  require_golden_seeds(rows, kPrograms, "sweep");
+  if (::testing::Test::HasFatalFailure()) return;
   int racy = 0;
   for (int seed = 1; seed <= kPrograms; ++seed) {
-    const SeededProgram program{static_cast<std::uint64_t>(seed)};
-    const auto family = family_for(program);
-    const SweepDigest base =
-        run_sweep(program, family, SlotEncoding::kLegacy, 1);
-    racy += base.any_race;
-
+    const GoldenRow& want = rows[seed - 1];
+    const golden::SeededProgram program{want.seed};
+    const auto family = golden::family_for(program);
     for (const unsigned threads : {1u, 4u}) {
-      const SweepDigest packed =
-          run_sweep(program, family, SlotEncoding::kPacked, threads);
-      ASSERT_EQ(packed.log_json, base.log_json)
-          << "seed " << seed << ", packed, " << threads << " thread(s)";
-      ASSERT_EQ(packed.spec_runs, base.spec_runs) << "seed " << seed;
-      ASSERT_EQ(packed.specs_skipped, base.specs_skipped) << "seed " << seed;
-      if (threads == 1) continue;  // threads=1 legacy IS the baseline
-      const SweepDigest legacy =
-          run_sweep(program, family, SlotEncoding::kLegacy, threads);
-      ASSERT_EQ(legacy.log_json, base.log_json)
-          << "seed " << seed << ", legacy, " << threads << " thread(s)";
+      SweepOptions options;
+      options.threads = threads;
+      const SweepResult result = sweep_family(
+          shared_program([program] { program(); }), family, options);
+      const Measured got = measure(want, result.log, result.spec_runs,
+                                   result.specs_skipped);
+      ASSERT_EQ(golden::format_row(got.row), golden::format_row(want))
+          << threads << " thread(s); normalized log:\n"
+          << got.normalized;
+      if (threads == 1) racy += got.row.any_race;
     }
-    if (::testing::Test::HasFailure()) return;  // first seed is enough
   }
-  // Byte-comparing empty logs proves nothing: the corpus must elicit races.
+  // Matching empty logs proves nothing: the corpus must elicit races.
   EXPECT_GE(racy, kPrograms / 2);
 }
 
 TEST(ShadowEncodingEquivalence, ExhaustiveCheckAgreesUnderBothEncodings) {
   // The single-program Section-7 driver path (Peer-Set probe + SP+ family,
-  // serial): detector construction happens inside the driver, so this
-  // covers the facade's default-encoding plumbing end to end.
+  // serial), against the legacy encoding's frozen driver rows: detector
+  // construction happens inside the driver.
   const int kPrograms = std::max(5, program_count() / 10);
+  const std::vector<GoldenRow> rows = golden_rows("driver");
+  require_golden_seeds(rows, kPrograms, "driver");
+  if (::testing::Test::HasFatalFailure()) return;
   for (int seed = 1; seed <= kPrograms; ++seed) {
-    const SeededProgram program{static_cast<std::uint64_t>(seed)};
-    std::string base_json;
-    std::uint64_t base_runs = 0;
-    {
-      EncodingScope scope(SlotEncoding::kLegacy);
-      const auto r = Rader::check_exhaustive([&] { program(); });
-      base_json = r.log.to_json();
-      base_runs = r.spec_runs;
-    }
-    {
-      EncodingScope scope(SlotEncoding::kPacked);
-      const auto r = Rader::check_exhaustive([&] { program(); });
-      ASSERT_EQ(r.log.to_json(), base_json) << "seed " << seed;
-      ASSERT_EQ(r.spec_runs, base_runs) << "seed " << seed;
-    }
+    const GoldenRow& want = rows[seed - 1];
+    const golden::SeededProgram program{want.seed};
+    const auto r = Rader::check_exhaustive([&] { program(); });
+    const Measured got = measure(want, r.log, r.spec_runs, r.specs_skipped);
+    ASSERT_EQ(golden::format_row(got.row), golden::format_row(want))
+        << "normalized log:\n"
+        << got.normalized;
   }
 }
 
