@@ -7,20 +7,20 @@
 // (support/metrics.hpp).  The budget is <= 5% (geomean): bump() must stay a
 // thread-local load plus one branch.
 //
-// Finally guards the dormant tracing hooks (support/trace.hpp): with tracing
-// off (the default), every emit() in the engines and detectors is a
-// thread-local load plus a branch.  The guard measures that dormant cost
-// directly, counts the events each workload would emit, and bounds the
-// implied slowdown versus a build with no hooks at all.  Budget: <= 1.02x
-// geomean.
+// Finally guards the dormant hooks.  Every sink lives in one constinit
+// thread-local, the observability context (support/context.hpp), and each
+// hook reads one field of it: with that sink off the hook is a
+// thread-local load plus a not-taken branch.  Tracing (support/trace.hpp)
+// is off by default; the guard measures a dormant emit() directly, counts
+// the events each workload would emit, and bounds the implied slowdown
+// versus a build with no hooks at all.  Budget: <= 1.02x geomean.
 //
-// The same guard covers the rest of the observability hub's dormant hooks:
-// histogram record() and gauge_add() with no registry installed, and
-// prof::Phase with no profiler installed — each must be a thread-local load
-// plus a not-taken branch.  Their per-call costs are measured directly and,
-// charged per instrumented event (a deliberate overestimate: gauges and
-// phases fire orders of magnitude less often than accesses), bounded by the
-// same <= 1.02x geomean budget.
+// The same guard covers the other dormant hooks: histogram record() and
+// gauge_add() with no registry installed, and prof::Phase with no profiler
+// installed.  Each one's per-call cost is measured separately and, charged
+// per instrumented event (a deliberate overestimate: gauges and phases fire
+// orders of magnitude less often than accesses), bounded by the same
+// <= 1.02x geomean budget.
 //
 // Usage: fig7_overhead [--scale=S] [--reps=N] [--json=FILE]
 //   S scales input sizes toward the paper's (default keeps CI fast).
@@ -105,7 +105,7 @@ double dormant_phase_ns() {
 /// (recorded + dropped: the ring may wrap, the hooks still fired).
 std::uint64_t traced_event_count(rader::apps::Workload& w) {
   rader::trace::Session session;
-  rader::trace::Scope scope(&session, w.name);
+  rader::TraceScope scope(&session, w.name);
   rader::spec::NoSteal none;
   rader::RaceLog log;
   rader::SpPlusDetector spplus(&log);

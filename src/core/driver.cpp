@@ -39,7 +39,7 @@ RaceLog Rader::check_parallel(FnView program, unsigned workers) {
   ParallelEngine engine(workers);
   engine.set_tool(&tool);
   {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
+    prof::Phase execute(nullptr, metrics::Phase::kExecute);
     engine.run(program);
   }
   return log;
@@ -52,7 +52,7 @@ RaceLog Rader::check_determinacy(FnView program,
   SpPlusDetector detector(&log);
   auto sampler = maybe_sampler(&detector, sampling, steal_spec.describe());
   {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
+    prof::Phase execute(nullptr, metrics::Phase::kExecute);
     run_serial(program, sampler ? (Tool*)sampler.get() : &detector,
                &steal_spec);
   }
@@ -112,8 +112,7 @@ Rader::ExhaustiveResult Rader::check_exhaustive(FnView program,
 
   // Probe run: learn K and D (and find view-read races with Peer-Set).
   {
-    metrics::PhaseTimer timer(metrics::Phase::kProbe);
-    prof::Phase probe_phase("probe");
+    prof::Phase probe("probe", metrics::Phase::kProbe);
     PeerSetDetector peerset(&result.log);
     spec::NoSteal no_steal;
     auto sampler = maybe_sampler(&peerset, sampling, no_steal.describe());
@@ -142,8 +141,7 @@ Rader::ExhaustiveResult Rader::check_exhaustive(
   // races with Peer-Set.
   auto probe_program = make_program();
   {
-    metrics::PhaseTimer timer(metrics::Phase::kProbe);
-    prof::Phase probe_phase("probe");
+    prof::Phase probe("probe", metrics::Phase::kProbe);
     PeerSetDetector peerset(&result.log);
     spec::NoSteal no_steal;
     auto sampler =

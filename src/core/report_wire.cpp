@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 namespace rader {
@@ -329,7 +330,7 @@ bool race_log_from_json(const std::string& json, RaceLog* out,
   // happened in its process and travel in its metrics snapshot.
   out->clear();
   {
-    metrics::Scope metrics_off(nullptr);
+    metrics::Scope metrics_off(static_cast<metrics::Registry*>(nullptr));
     for (const auto& r : view_reads) out->report_view_read(r);
     for (const auto& r : determinacies) out->report_determinacy(r);
     out->add_unstored_occurrences(vr_total - vr_stored,
@@ -339,42 +340,24 @@ bool race_log_from_json(const std::string& json, RaceLog* out,
 }
 
 std::string snapshot_to_wire(const metrics::Snapshot& snap) {
-  using namespace metrics;
-  constexpr unsigned kWords = kCounterCount + kPhaseCount + 2 * kGaugeCount +
-                              kHistogramCount * (2 + kHistogramBuckets);
+  using metrics::kSnapshotWords;
   // std::to_chars into one preallocated buffer: this runs once per swept
   // spec inside the sandbox child, so it must not dominate the per-spec
   // supervisor tax the isolation_overhead bench gates.
   std::string out;
-  out.resize((kWords + 1) * 21);  // u64 max is 20 digits, plus a separator
+  out.resize((kSnapshotWords + 1) * 21);  // u64 max is 20 digits + separator
   char* p = out.data();
   char* const end = out.data() + out.size();
-  p = std::to_chars(p, end, kWords).ptr;
-  const auto put = [&p, end](std::uint64_t v) {
+  p = std::to_chars(p, end, kSnapshotWords).ptr;
+  metrics::for_each_word([&p, end](metrics::Fold, const auto& word) {
     *p++ = ' ';
-    p = std::to_chars(p, end, v).ptr;
-  };
-  for (unsigned c = 0; c < kCounterCount; ++c) put(snap.counters[c]);
-  for (unsigned ph = 0; ph < kPhaseCount; ++ph) put(snap.phase_nanos[ph]);
-  for (unsigned g = 0; g < kGaugeCount; ++g) {
-    put(static_cast<std::uint64_t>(snap.gauges[g].value));
-    put(static_cast<std::uint64_t>(snap.gauges[g].max));
-  }
-  for (unsigned h = 0; h < kHistogramCount; ++h) {
-    put(snap.hists[h].count);
-    put(snap.hists[h].sum);
-    for (unsigned b = 0; b < kHistogramBuckets; ++b) {
-      put(snap.hists[h].buckets[b]);
-    }
-  }
+    p = std::to_chars(p, end, static_cast<std::uint64_t>(word)).ptr;
+  }, snap);
   out.resize(static_cast<std::size_t>(p - out.data()));
   return out;
 }
 
 bool snapshot_from_wire(const std::string& text, metrics::Snapshot* out) {
-  using namespace metrics;
-  constexpr unsigned kWords = kCounterCount + kPhaseCount + 2 * kGaugeCount +
-                              kHistogramCount * (2 + kHistogramBuckets);
   const char* p = text.c_str();
   const auto next = [&p](std::uint64_t* v) {
     char* end = nullptr;
@@ -384,33 +367,15 @@ bool snapshot_from_wire(const std::string& text, metrics::Snapshot* out) {
     return true;
   };
   std::uint64_t count = 0;
-  if (!next(&count) || count != kWords) return false;
-  *out = Snapshot{};
-  std::uint64_t v = 0;
-  for (unsigned c = 0; c < kCounterCount; ++c) {
-    if (!next(&v)) return false;
-    out->counters[c] = v;
-  }
-  for (unsigned ph = 0; ph < kPhaseCount; ++ph) {
-    if (!next(&v)) return false;
-    out->phase_nanos[ph] = v;
-  }
-  for (unsigned g = 0; g < kGaugeCount; ++g) {
-    if (!next(&v)) return false;
-    out->gauges[g].value = static_cast<std::int64_t>(v);
-    if (!next(&v)) return false;
-    out->gauges[g].max = static_cast<std::int64_t>(v);
-  }
-  for (unsigned h = 0; h < kHistogramCount; ++h) {
-    if (!next(&v)) return false;
-    out->hists[h].count = v;
-    if (!next(&v)) return false;
-    out->hists[h].sum = v;
-    for (unsigned b = 0; b < kHistogramBuckets; ++b) {
-      if (!next(&v)) return false;
-      out->hists[h].buckets[b] = v;
-    }
-  }
+  if (!next(&count) || count != metrics::kSnapshotWords) return false;
+  *out = metrics::Snapshot{};
+  bool ok = true;
+  metrics::for_each_word([&](metrics::Fold, auto& word) {
+    std::uint64_t v = 0;
+    ok = ok && next(&v);
+    word = static_cast<std::remove_reference_t<decltype(word)>>(v);
+  }, *out);
+  if (!ok) return false;
   while (*p == ' ') ++p;
   return *p == '\0';
 }

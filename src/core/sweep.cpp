@@ -19,11 +19,11 @@
 #include "runtime/serial_engine.hpp"
 #include "runtime/view_arena.hpp"
 #include "support/common.hpp"
+#include "support/context.hpp"
 #include "support/crash.hpp"
 #include "support/faultpoint.hpp"
 #include "support/profile.hpp"
 #include "support/rolling_rate.hpp"
-#include "support/trace.hpp"
 
 namespace rader {
 
@@ -136,8 +136,7 @@ SpecExecutor::RunOutcome SpecExecutor::run_rerun(std::size_t i,
   prof::Phase spec_phase("spec");
   const std::uint64_t t0 = metrics::now_nanos();
   {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
-    prof::Phase detect_phase("detect");
+    prof::Phase detect_phase("detect", metrics::Phase::kExecute);
     run_serial(program_, tool, family_[i].get());
   }
   return {true, metrics::now_nanos() - t0};
@@ -174,62 +173,59 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
     on_point(idx, ctx);
   };
   const std::uint64_t t0 = metrics::now_nanos();
-  {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
-    bool fresh = ckpts_.empty();
-    if (!fresh) {
-      PrefixCheckpoint& ck = ckpts_.back();
-      trail_.resize(d);
-      *out = ck.log;
-      std::unique_ptr<Tool> detector = ck.tool->fork(out);
-      metrics::bump(metrics::Counter::kSweepForks);
-      SerialEngine engine(detector.get(), family_[i].get());
-      eng_ = &engine;
-      cur_tool_ = detector.get();
-      engine.set_decision_trail(&trail_);
-      engine.set_point_hook(hook);
-      SerialEngine::ResumePlan plan;
-      plan.replay = &trail_;
-      plan.replay_count = d;
-      plan.live_from = ck.engine.point;
-      // Verified (then dropped) before the hook can grow `ckpts_` and
-      // invalidate this pointer.
-      plan.expect = &ck.engine;
-      try {
-        prof::Phase resume_phase("resume");
-        engine.resume_from(program_, plan);
-      } catch (const ResumeDiverged&) {
-        // The re-executed prefix did not regenerate the checkpointed state
-        // (go_live verification, serial_engine.hpp): the program is not an
-        // address-stable pure function of the decisions, so its runs cannot
-        // share prefixes.  Degrade to rerun semantics for this member and
-        // every later one: drop every checkpoint (their forks describe
-        // executions this program cannot reproduce) and the possibly
-        // dirtied instance, take no more checkpoints, and run fresh.
-        // Correctness is preserved — only the speedup is lost — and the
-        // fallback is visible as kSweepResumeFallbacks in rader.report.
-        metrics::bump(metrics::Counter::kSweepResumeFallbacks);
-        resumable_ = false;
-        drop_checkpoints(0);
-        *out = RaceLog();
-        program_ = make_program_();
-        fresh = true;
-      }
+  bool fresh = ckpts_.empty();
+  if (!fresh) {
+    PrefixCheckpoint& ck = ckpts_.back();
+    trail_.resize(d);
+    *out = ck.log;
+    std::unique_ptr<Tool> detector = ck.tool->fork(out);
+    metrics::bump(metrics::Counter::kSweepForks);
+    SerialEngine engine(detector.get(), family_[i].get());
+    eng_ = &engine;
+    cur_tool_ = detector.get();
+    engine.set_decision_trail(&trail_);
+    engine.set_point_hook(hook);
+    SerialEngine::ResumePlan plan;
+    plan.replay = &trail_;
+    plan.replay_count = d;
+    plan.live_from = ck.engine.point;
+    // Verified (then dropped) before the hook can grow `ckpts_` and
+    // invalidate this pointer.
+    plan.expect = &ck.engine;
+    try {
+      prof::Phase resume_phase("resume", metrics::Phase::kExecute);
+      engine.resume_from(program_, plan);
+    } catch (const ResumeDiverged&) {
+      // The re-executed prefix did not regenerate the checkpointed state
+      // (go_live verification, serial_engine.hpp): the program is not an
+      // address-stable pure function of the decisions, so its runs cannot
+      // share prefixes.  Degrade to rerun semantics for this member and
+      // every later one: drop every checkpoint (their forks describe
+      // executions this program cannot reproduce) and the possibly
+      // dirtied instance, take no more checkpoints, and run fresh.
+      // Correctness is preserved — only the speedup is lost — and the
+      // fallback is visible as kSweepResumeFallbacks in rader.report.
+      metrics::bump(metrics::Counter::kSweepResumeFallbacks);
+      resumable_ = false;
+      drop_checkpoints(0);
+      *out = RaceLog();
+      program_ = make_program_();
+      fresh = true;
     }
-    if (fresh) {
-      // No shared prefix survives (first member, no checkpoint at or before
-      // the divergence because this worker did not run the member that
-      // placed it, or a program that cannot resume): fresh run.
-      trail_.clear();
-      SpPlusDetector detector(out);
-      SerialEngine engine(&detector, family_[i].get());
-      eng_ = &engine;
-      cur_tool_ = &detector;
-      engine.set_decision_trail(&trail_);
-      if (resumable_) engine.set_point_hook(hook);
-      prof::Phase detect_phase("detect");
-      engine.run(program_);
-    }
+  }
+  if (fresh) {
+    // No shared prefix survives (first member, no checkpoint at or before
+    // the divergence because this worker did not run the member that
+    // placed it, or a program that cannot resume): fresh run.
+    trail_.clear();
+    SpPlusDetector detector(out);
+    SerialEngine engine(&detector, family_[i].get());
+    eng_ = &engine;
+    cur_tool_ = &detector;
+    engine.set_decision_trail(&trail_);
+    if (resumable_) engine.set_point_hook(hook);
+    prof::Phase detect_phase("detect", metrics::Phase::kExecute);
+    engine.run(program_);
   }
   const std::uint64_t nanos = metrics::now_nanos() - t0;
   // The dedup shortcut needs the log as the run produced it, BEFORE
@@ -306,25 +302,24 @@ SweepResult SweepScheduler::run(Executor execute,
     result.specs_skipped = family.size();
     return result;
   }
+  const obs::Context outer = obs::current();
   {
     crash::PostmortemSources sources;
     sources.metrics = &live;
     sources.inflight = &inflight;
-    sources.trace_session = trace::session();
+    sources.trace_session = outer.session;
     sources.activity = "sweep";
     crash::set_sources(sources);
   }
-  // The sweep's own profiler aggregates the executor's phase trees under
-  // one "sweep" node, then forwards to the caller's profiler (if any) —
-  // the same absorb-at-join shape as the metrics registries.
-  prof::Profiler* const outer_prof = prof::current();
-  prof::Profiler sweep_prof;
-  metrics::Registry merge_reg;
+  // The scheduler's registry is the sweep's sink: the executor folds its
+  // workers or children into it, and the merge's accounting lands in it.
+  // The "sweep" phase opens on the caller's profiler, if any, so worker
+  // trees fold in beneath it.
   std::size_t limit = 0;
   {
-    prof::Scope pscope(&sweep_prof);
+    obs::Scope scope(&registry);
     prof::Phase sweep_phase("sweep");
-    result.metrics = execute(*this, make_program);
+    execute(*this, make_program);
 
     // Merge exactly the deterministic prefix: everything up to and
     // including the lowest racy index (or the whole budgeted family when no
@@ -333,9 +328,7 @@ SweepResult SweepScheduler::run(Executor execute,
     // race identity, spec_runs, and specs_skipped are byte-identical at
     // every slot count and under either executor.
     limit = bound();
-    metrics::Scope scope(&merge_reg);
-    metrics::PhaseTimer timer(metrics::Phase::kMerge);
-    prof::Phase merge_phase("merge");
+    prof::Phase merge_phase("merge", metrics::Phase::kMerge);
     for (std::size_t i = 0; i < limit; ++i) {
       if (ran_[i] != 0) {
         result.log.merge(per_spec_[i]);
@@ -354,14 +347,10 @@ SweepResult SweepScheduler::run(Executor execute,
                           result.specs_skipped ==
                       family.size(),
                   "sweep accounting does not partition the family");
-  result.metrics.add(registry.snapshot());
-  result.metrics.add(merge_reg.snapshot());
-  // Forward the aggregates to the caller's registry/profiler (if installed)
-  // so an outer Scope sees probe + sweep + merge in one snapshot.
-  if (metrics::Registry* outer = metrics::current()) {
-    outer->absorb(result.metrics);
-  }
-  if (outer_prof != nullptr) outer_prof->absorb(sweep_prof.root());
+  result.metrics = registry.snapshot();
+  // Forward the aggregate to the caller's registry (if installed) so an
+  // outer Scope sees probe + sweep + merge in one snapshot.
+  if (outer.registry != nullptr) outer.registry->absorb(result.metrics);
   return result;
 }
 
@@ -481,10 +470,10 @@ std::string SweepMonitor::line(std::uint64_t done, bool final) const {
   return os.str();
 }
 
-metrics::Snapshot run_threads(SweepScheduler& sched,
-                              const ProgramFactory& make_program) {
-  std::vector<metrics::Snapshot> worker_metrics(sched.slots);
-  std::vector<prof::Profiler> worker_profs(sched.slots);
+void run_threads(SweepScheduler& sched, const ProgramFactory& make_program) {
+  // When the caller traces, each worker records into its own buffer
+  // ("sweep-wN") — one Chrome-trace process per worker.
+  obs::Fanout sinks(obs::current(), sched.slots, "sweep-w");
   std::atomic<std::size_t> next{0};
   // Prefix workers claim ascending chunks instead of single indices:
   // lexicographic families are emitted in trie DFS order, so neighbouring
@@ -502,16 +491,9 @@ metrics::Snapshot run_threads(SweepScheduler& sched,
     // thread's arena monotonically.  Declared first so it is destroyed
     // last — after the program instances (and their views) are gone.
     view_arena::Scope arena_scope;
-    metrics::Registry reg;
-    metrics::Scope scope(&reg);
-    prof::Scope pscope(&worker_profs[w]);
-    // When a tracing session is active, each sweep worker records into its
-    // own buffer ("sweep-wN") — one Chrome-trace process per worker.
-    trace::Session* const tsession = trace::session();
-    trace::ThreadScope tscope(
-        tsession != nullptr
-            ? tsession->make_buffer("sweep-w" + std::to_string(w))
-            : trace::buffer());
+    const obs::Context ctx = sinks.context(w);
+    obs::Scope scope(ctx);
+    metrics::Registry& reg = *ctx.registry;
     {
       SpecExecutor exec(make_program, sched.family, sched.options);
       for (;;) {
@@ -533,7 +515,6 @@ metrics::Snapshot run_threads(SweepScheduler& sched,
     // Quiescent totals: the monitor's final JSONL sample reads these slots
     // after the join, so publish everything one last time.
     sched.live.publish(w, reg.snapshot());
-    worker_metrics[w] = reg.snapshot();
   };
 
   std::optional<SweepMonitor> monitor;
@@ -570,11 +551,10 @@ metrics::Snapshot run_threads(SweepScheduler& sched,
       ticker.join();
     }
   }
+  // The monitor's last observation precedes the fold: the live view sums
+  // the worker slots and the scheduler's registry as it was before them.
   if (monitor) monitor->finish();
-  for (const auto& wp : worker_profs) prof::current()->absorb(wp.root());
-  metrics::Snapshot total;
-  for (const auto& wm : worker_metrics) total.add(wm);
-  return total;
+  sinks.fold();
 }
 
 }  // namespace sweep_internal

@@ -149,9 +149,8 @@ class SweepScheduler {
 
   /// Runs the admitted family on `slots` workers or children.  It must
   /// complete() or quarantine() every index below the final bound(), and
-  /// returns the folded metrics of its workers or children.
-  using Executor = metrics::Snapshot (*)(SweepScheduler&,
-                                         const ProgramFactory&);
+  /// folds the metrics of its workers or children into `registry`.
+  using Executor = void (*)(SweepScheduler&, const ProgramFactory&);
 
   /// The whole sweep: run `execute`, then merge in family order.
   SweepResult run(Executor execute, const ProgramFactory& make_program);
@@ -161,8 +160,9 @@ class SweepScheduler {
   const std::size_t n;   // budgeted family size
   const unsigned slots;  // worker threads / concurrent children, <= n
 
-  /// The scheduler's own metrics: the monitor's, plus the per-spec
-  /// accounting and isolation counters of an isolated supervisor.
+  /// The sweep's metrics: the monitor's, the per-spec accounting and
+  /// isolation counters of an isolated supervisor, the merge's, and — once
+  /// the executor has quiesced — its workers' or children's.
   metrics::Registry registry;
 
   /// Live metrics, read wait-free by the monitor and the crash handler: one
@@ -267,9 +267,7 @@ class SweepMonitor {
 
 /// The executors.  In-process: a thread pool (core/sweep.cpp).  Isolated
 /// (--isolate=procs): sandboxed fork children (core/sweep_isolated.cpp).
-metrics::Snapshot run_threads(SweepScheduler& sched,
-                              const ProgramFactory& make_program);
-metrics::Snapshot run_children(SweepScheduler& sched,
-                               const ProgramFactory& make_program);
+void run_threads(SweepScheduler& sched, const ProgramFactory& make_program);
+void run_children(SweepScheduler& sched, const ProgramFactory& make_program);
 
 }  // namespace rader::sweep_internal

@@ -157,8 +157,11 @@ int child_main(int fd, const ProgramFactory& make_program,
   }
   faultpoint::fire(faultpoint::kSiteSweepChild, shard.lo);
   view_arena::Scope arena_scope;
+  // A metrics-only context: the registry travels back over the pipe, while
+  // the supervisor's profiler and trace buffer, which fork() copied into
+  // this address space, are never read again.
   metrics::Registry reg;
-  metrics::Scope scope(&reg);
+  obs::Scope scope(obs::Context{.registry = &reg});
   metrics::SharedSnapshot shared(1);
   crash::InflightTable inflight;
   {
@@ -210,14 +213,13 @@ int child_main(int fd, const ProgramFactory& make_program,
 
 }  // namespace
 
-metrics::Snapshot run_children(SweepScheduler& sched,
-                               const ProgramFactory& make_program) {
+void run_children(SweepScheduler& sched, const ProgramFactory& make_program) {
   const std::vector<std::unique_ptr<spec::StealSpec>>& family = sched.family;
   const SweepOptions& options = sched.options;
   const unsigned threads = sched.slots;
   // Supervisor-side metrics (accounting, isolation counters) go to the
-  // scheduler's registry; child registries arrive as wire snapshots and
-  // fold into `child_totals`.
+  // scheduler's registry; child registries arrive as wire snapshots, fold
+  // into `child_totals`, and join the scheduler's registry at the end.
   metrics::Registry& sup_reg = sched.registry;
   metrics::Snapshot child_totals;
 
@@ -529,9 +531,10 @@ metrics::Snapshot run_children(SweepScheduler& sched,
     publish_children();
     monitor.tick();
   }
-  // Exact totals: everything has been reaped.
+  // Exact totals: everything has been reaped.  The monitor's last
+  // observation precedes the fold, as in the in-process executor.
   monitor.finish();
-  return child_totals;
+  sup_reg.absorb(child_totals);
 }
 
 }  // namespace rader::sweep_internal

@@ -35,7 +35,7 @@ void SerialEngine::resume_from(FnView root, const ResumePlan& plan) {
     // epoch bookkeeping below the throw point: restore the engine to a
     // runnable state by hand.  Identity views minted by the abandoned
     // partial run are leaked — Reduce cannot run mid-unwind.
-    close_replay_phase();
+    replay_phase_.reset();
     running_ = false;
     stack_.clear();
     epochs_ = ViewEpochs();
@@ -93,16 +93,8 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   reducers_.clear();
 
   // A resumed run's fast-forward interval (entry to go_live) is the
-  // profiler's "replay" phase; no lexical scope covers it, so open it by
-  // hand here and close it in go_live / on the ResumeDiverged unwind.
-  if (!from_start) {
-    if (prof::Profiler* p = prof::current()) {
-      replay_prof_ = p;
-      replay_parent_ = p->current_node();
-      replay_node_ = p->enter("replay");
-      replay_t0_ = metrics::now_nanos();
-    }
-  }
+  // profiler's "replay" phase.
+  if (!from_start) replay_phase_.emplace("replay");
 
   // A resumed run's tool is a detector fork that already holds the prefix
   // state; on_run_begin (which resets detectors) is for fresh runs only.
@@ -159,17 +151,8 @@ void SerialEngine::capture(EngineCheckpoint* out) const {
   }
 }
 
-void SerialEngine::close_replay_phase() {
-  if (replay_prof_ == nullptr) return;
-  replay_prof_->leave(replay_node_, replay_parent_,
-                      metrics::now_nanos() - replay_t0_);
-  replay_prof_ = nullptr;
-  replay_node_ = nullptr;
-  replay_parent_ = nullptr;
-}
-
 void SerialEngine::go_live(std::size_t point) {
-  close_replay_phase();
+  replay_phase_.reset();
   live_ = true;
   if (expect_ == nullptr) return;
   // Fast-forward re-execution must have regenerated the checkpointed state
@@ -389,7 +372,7 @@ void SerialEngine::top_merge() {
     metrics::Registry* reg;
     std::uint64_t t0;
     ReduceTiming()
-        : reg(metrics::current()),
+        : reg(obs::current().registry),
           t0(reg != nullptr ? metrics::now_nanos() : 0) {}
     ~ReduceTiming() {
       if (reg == nullptr) return;

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -241,13 +242,9 @@ class SerialEngine final : public Engine {
   bool live_ = true;
   // Open "replay" profiler phase of a resumed run (support/profile.hpp):
   // the fast-forward interval spans run_impl entry to go_live, which no
-  // single lexical scope covers, so the phase is opened/closed by hand —
-  // close_replay_phase() runs at go_live and on the ResumeDiverged unwind.
-  void close_replay_phase();
-  prof::Profiler* replay_prof_ = nullptr;
-  prof::Node* replay_node_ = nullptr;
-  prof::Node* replay_parent_ = nullptr;
-  std::uint64_t replay_t0_ = 0;
+  // single lexical scope covers, so the phase is emplaced at entry and
+  // reset at go_live and on the ResumeDiverged unwind.
+  std::optional<prof::Phase> replay_phase_;
   // FNV-1a over the (kind, addr, size) access/clear stream delivered while a
   // tool is attached.  Captured into checkpoints and compared at go_live:
   // equal counts with drifted ADDRESSES (heap layout changing between runs)

@@ -4,26 +4,11 @@
 #include <chrono>
 #include <string>
 
+#include "support/context.hpp"
 #include "support/trace.hpp"
 #include "tool/tool.hpp"
 
 namespace rader {
-
-namespace {
-
-// Long-lived pool threads re-check the active trace session each loop and
-// (re-)attach a buffer when it changes; scopes come and go while the
-// engine's threads persist.
-trace::Session* sync_thread_buffer(trace::Session* attached, unsigned index) {
-  trace::Session* s = trace::session();
-  if (s == attached) return attached;
-  trace::set_thread_buffer(
-      s != nullptr ? s->make_buffer("pe-worker-" + std::to_string(index))
-                   : nullptr);
-  return s;
-}
-
-}  // namespace
 
 thread_local ParallelEngine::WorkerState* ParallelEngine::tl_worker_ = nullptr;
 
@@ -62,15 +47,15 @@ void ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
 void ParallelEngine::helper_loop(unsigned index) {
   WorkerState& w = *workers_[index];
   tl_worker_ = &w;
-  trace::set_worker(index);
-  trace::Session* attached = nullptr;
   Engine::Scope scope(this);
-  // The worker's private sink for the thread's lifetime; run() folds the
-  // accumulated snapshot into the caller's sink after every join.
-  metrics::Scope mscope(&w.metrics);
   while (!stop_.load(std::memory_order_acquire)) {
-    attached = sync_thread_buffer(attached, index);
-    if (ChildRecord* rec = try_get_work(w)) {
+    std::size_t victim = 0;
+    if (ChildRecord* rec = steal(w, &victim)) {
+      // This run's sinks: the steal's acquire orders the read after run()
+      // set them, and every report into them precedes the task's done flag,
+      // which run() waits for before it folds them.
+      obs::Scope sinks(w.sinks);
+      note_steal(victim);
       execute_child(w, rec);
       continue;
     }
@@ -80,28 +65,32 @@ void ParallelEngine::helper_loop(unsigned index) {
     idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
     sleeping_.fetch_sub(1, std::memory_order_relaxed);
   }
-  trace::set_thread_buffer(nullptr);
   tl_worker_ = nullptr;
 }
 
-ParallelEngine::ChildRecord* ParallelEngine::try_get_work(WorkerState& w) {
+ParallelEngine::ChildRecord* ParallelEngine::steal(WorkerState& w,
+                                                   std::size_t* victim) {
   const std::size_t n = workers_.size();
   // A few random-victim rounds, as in the Cilk scheduler.
   for (std::size_t attempt = 0; attempt < 2 * n; ++attempt) {
-    const auto victim = static_cast<std::size_t>(w.rng.below(n));
-    if (victim == w.index) continue;
-    if (workers_[victim]->deque.empty()) continue;  // skip drained victims
-    if (void* task = workers_[victim]->deque.steal()) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      metrics::bump(metrics::Counter::kEngineSteals);
-      // The thief counts the entry out on its own sink; the victim counted
-      // it in.  Per-thread values go negative/positive, the fold sums to 0.
-      metrics::gauge_add(metrics::Gauge::kDequeSize, -1);
-      trace::emit(trace::EventKind::kSteal, kInvalidFrame, victim, 0);
+    const auto v = static_cast<std::size_t>(w.rng.below(n));
+    if (v == w.index) continue;
+    if (workers_[v]->deque.empty()) continue;  // skip drained victims
+    if (void* task = workers_[v]->deque.steal()) {
+      *victim = v;
       return static_cast<ChildRecord*>(task);
     }
   }
   return nullptr;
+}
+
+void ParallelEngine::note_steal(std::size_t victim) {
+  steals_.fetch_add(1, std::memory_order_relaxed);
+  metrics::bump(metrics::Counter::kEngineSteals);
+  // The thief counts the entry out on its own sink; the victim counted it
+  // in.  Per-thread values go negative/positive, the fold sums to 0.
+  metrics::gauge_add(metrics::Gauge::kDequeSize, -1);
+  trace::emit(trace::EventKind::kSteal, kInvalidFrame, victim, 0);
 }
 
 void ParallelEngine::wake_helpers() {
@@ -116,12 +105,18 @@ void ParallelEngine::run(FnView root) {
     reducer_ids_.clear();
     reducers_.clear();
   }
+  // The helpers work on the caller's behalf, each with its own sinks from
+  // the caller's context; set before the first push, so a helper's steal
+  // orders its read of them.  Worker 0 reports to the caller's sinks.
+  obs::Fanout helpers(obs::current(), worker_count() - 1, "pe-worker-", 1);
+  for (unsigned i = 1; i < worker_count(); ++i) {
+    workers_[i]->sinks = helpers.context(i);
+  }
   WorkerState& w = *workers_[0];
   tl_worker_ = &w;
   trace::set_worker(0);
   trace::emit(trace::EventKind::kRunBegin, kInvalidFrame);
   {
-    metrics::Scope mscope(&w.metrics);
     Engine::Scope scope(this);
 
     if (tool_ != nullptr) {
@@ -190,21 +185,11 @@ void ParallelEngine::run(FnView root) {
     }
   }
 
-  // Fold every worker's accounting into the caller's sink, the same shape
-  // sweep workers use: private Registry per worker, one absorb after the
-  // join.  All worker bumps happen inside executed children, ordered before
-  // this point by each child's done-flag release/acquire chain up the spawn
-  // tree, so the registries are quiescent here.
-  if (metrics::Registry* outer = metrics::current()) {
-    metrics::Snapshot total;
-    for (auto& wk : workers_) {
-      total.add(wk->metrics.snapshot());
-      wk->metrics.reset();
-    }
-    outer->absorb(total);
-  } else {
-    for (auto& wk : workers_) wk->metrics.reset();
-  }
+  // Fold the helpers' sinks into the caller's.  Every helper report happens
+  // inside (or just before) an executed child, ordered before this point by
+  // each child's done-flag release/acquire chain up the spawn tree, so the
+  // sinks are quiescent here.
+  helpers.fold();
 
   trace::emit(trace::EventKind::kRunEnd, kInvalidFrame,
               steals_.load(std::memory_order_relaxed), 0);
@@ -318,6 +303,7 @@ void ParallelEngine::do_sync(WorkerState& w) {
   // with unrelated work never perturbs reducer semantics.
   {
     const std::size_t frame_idx = w.frames.size() - 1;
+    std::size_t victim = 0;
     for (std::size_t i = 0;; ++i) {
       FrameCtx& f = w.frames[frame_idx];
       if (i >= f.items.size()) break;
@@ -326,7 +312,8 @@ void ParallelEngine::do_sync(WorkerState& w) {
         if (void* task = w.deque.pop()) {
           metrics::gauge_add(metrics::Gauge::kDequeSize, -1);
           execute_child(w, static_cast<ChildRecord*>(task));
-        } else if (ChildRecord* stolen = try_get_work(w)) {
+        } else if (ChildRecord* stolen = steal(w, &victim)) {
+          note_steal(victim);
           execute_child(w, stolen);
         } else {
           std::this_thread::yield();

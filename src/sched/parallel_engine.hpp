@@ -39,7 +39,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/hyperobject.hpp"
 #include "sched/worksteal_deque.hpp"
-#include "support/metrics.hpp"
+#include "support/context.hpp"
 #include "support/rng.hpp"
 #include "tool/shard.hpp"
 
@@ -129,9 +129,9 @@ class ParallelEngine final : public Engine {
     Rng rng;
     std::vector<FrameCtx> frames;
     unsigned index = 0;
-    // Per-worker accounting, folded into the caller's metrics sink at the
-    // end of each run (sweep workers fold theirs the same way).
-    metrics::Registry metrics;
+    // A helper's sinks for the current run, from run()'s obs::Fanout of the
+    // caller's context (sweep workers get theirs the same way).
+    obs::Context sinks;
     // Nested engine-internal user code (Reduce / CreateIdentity) whose
     // events have no counterpart in the serial no-steal stream.
     int suppress = 0;
@@ -146,7 +146,10 @@ class ParallelEngine final : public Engine {
   }
 
   void helper_loop(unsigned index);
-  ChildRecord* try_get_work(WorkerState& w);
+  /// Take a task from a random victim's deque, naming it in `*victim`.
+  ChildRecord* steal(WorkerState& w, std::size_t* victim);
+  /// Account a successful steal on the calling thread's sinks.
+  void note_steal(std::size_t victim);
   void execute_child(WorkerState& w, ChildRecord* rec);
   void do_sync(WorkerState& w);
   void fold_map(Hypermap& acc, Hypermap& right);

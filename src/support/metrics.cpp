@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "support/common.hpp"
 
@@ -225,40 +226,26 @@ double HistogramCell::quantile(double q) const {
   return 0.0;
 }
 
+namespace {
+
+template <class T>
+void fold_word(Fold how, T& into, T v) {
+  into = how == Fold::kMax ? std::max(into, v) : into + v;
+}
+
+}  // namespace
+
 void Snapshot::add(const Snapshot& other) {
-  for (unsigned i = 0; i < kCounterCount; ++i) {
-    counters[i] += other.counters[i];
-  }
-  for (unsigned i = 0; i < kPhaseCount; ++i) {
-    phase_nanos[i] += other.phase_nanos[i];
-  }
-  for (unsigned i = 0; i < kGaugeCount; ++i) {
-    gauges[i].value += other.gauges[i].value;
-    gauges[i].max = std::max(gauges[i].max, other.gauges[i].max);
-  }
-  for (unsigned i = 0; i < kHistogramCount; ++i) {
-    hists[i].count += other.hists[i].count;
-    hists[i].sum += other.hists[i].sum;
-    for (unsigned b = 0; b < kHistogramBuckets; ++b) {
-      hists[i].buckets[b] += other.hists[i].buckets[b];
-    }
-  }
+  for_each_word([](Fold how, auto& mine, const auto& theirs) {
+    fold_word(how, mine, theirs);
+  }, *this, other);
 }
 
 bool Snapshot::empty() const {
-  for (unsigned i = 0; i < kCounterCount; ++i) {
-    if (counters[i] != 0) return false;
-  }
-  for (unsigned i = 0; i < kPhaseCount; ++i) {
-    if (phase_nanos[i] != 0) return false;
-  }
-  for (unsigned i = 0; i < kGaugeCount; ++i) {
-    if (gauges[i].value != 0 || gauges[i].max != 0) return false;
-  }
-  for (unsigned i = 0; i < kHistogramCount; ++i) {
-    if (hists[i].count != 0) return false;
-  }
-  return true;
+  bool zero = true;
+  for_each_word([&zero](Fold, const auto& word) { zero = zero && word == 0; },
+                *this);
+  return zero;
 }
 
 std::string Snapshot::to_json() const {
@@ -305,21 +292,11 @@ std::string Snapshot::to_json() const {
   return os.str();
 }
 
-PhaseTimer::PhaseTimer(Phase p) : reg_(current()), phase_(p) {
-  if (reg_ != nullptr) start_nanos_ = now_nanos();
-}
-
-PhaseTimer::~PhaseTimer() {
-  if (reg_ != nullptr) {
-    reg_->add_phase_nanos(phase_, now_nanos() - start_nanos_);
-  }
-}
-
 SharedSnapshot::SharedSnapshot(unsigned slots)
     : slots_(slots),
       words_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(slots) *
-                                            kWordsPerSlot]) {
-  const std::size_t n = static_cast<std::size_t>(slots) * kWordsPerSlot;
+                                            kSnapshotWords]) {
+  const std::size_t n = static_cast<std::size_t>(slots) * kSnapshotWords;
   for (std::size_t i = 0; i < n; ++i) {
     words_[i].store(0, std::memory_order_relaxed);
   }
@@ -328,47 +305,20 @@ SharedSnapshot::SharedSnapshot(unsigned slots)
 void SharedSnapshot::publish(unsigned slot, const Snapshot& s) {
   RADER_DCHECK(slot < slots_);
   std::atomic<std::uint64_t>* w =
-      words_.get() + static_cast<std::size_t>(slot) * kWordsPerSlot;
-  std::size_t i = 0;
-  const auto put = [&](std::uint64_t v) {
-    w[i++].store(v, std::memory_order_relaxed);
-  };
-  for (unsigned c = 0; c < kCounterCount; ++c) put(s.counters[c]);
-  for (unsigned p = 0; p < kPhaseCount; ++p) put(s.phase_nanos[p]);
-  for (unsigned g = 0; g < kGaugeCount; ++g) {
-    put(static_cast<std::uint64_t>(s.gauges[g].value));
-    put(static_cast<std::uint64_t>(s.gauges[g].max));
-  }
-  for (unsigned h = 0; h < kHistogramCount; ++h) {
-    put(s.hists[h].count);
-    put(s.hists[h].sum);
-    for (unsigned b = 0; b < kHistogramBuckets; ++b) {
-      put(s.hists[h].buckets[b]);
-    }
-  }
-  RADER_DCHECK(i == kWordsPerSlot);
+      words_.get() + static_cast<std::size_t>(slot) * kSnapshotWords;
+  for_each_word([&w](Fold, const auto& word) {
+    (w++)->store(static_cast<std::uint64_t>(word), std::memory_order_relaxed);
+  }, s);
 }
 
 void SharedSnapshot::read_into(Snapshot* out) const {
+  const std::atomic<std::uint64_t>* w = words_.get();
   for (unsigned slot = 0; slot < slots_; ++slot) {
-    const std::atomic<std::uint64_t>* w =
-        words_.get() + static_cast<std::size_t>(slot) * kWordsPerSlot;
-    std::size_t i = 0;
-    const auto get = [&] { return w[i++].load(std::memory_order_relaxed); };
-    for (unsigned c = 0; c < kCounterCount; ++c) out->counters[c] += get();
-    for (unsigned p = 0; p < kPhaseCount; ++p) out->phase_nanos[p] += get();
-    for (unsigned g = 0; g < kGaugeCount; ++g) {
-      out->gauges[g].value += static_cast<std::int64_t>(get());
-      out->gauges[g].max =
-          std::max(out->gauges[g].max, static_cast<std::int64_t>(get()));
-    }
-    for (unsigned h = 0; h < kHistogramCount; ++h) {
-      out->hists[h].count += get();
-      out->hists[h].sum += get();
-      for (unsigned b = 0; b < kHistogramBuckets; ++b) {
-        out->hists[h].buckets[b] += get();
-      }
-    }
+    for_each_word([&w](Fold how, auto& word) {
+      using T = std::remove_reference_t<decltype(word)>;
+      fold_word(how, word,
+                static_cast<T>((w++)->load(std::memory_order_relaxed)));
+    }, *out);
   }
 }
 

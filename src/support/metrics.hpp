@@ -10,13 +10,16 @@
 //
 // Design: a plain per-thread sink.  A `Registry` is a flat `Snapshot` —
 // uint64 counters, signed gauges with per-thread high-water marks,
-// log2-bucketed histograms, and per-phase nanosecond accumulators; `Scope`
-// installs one as the calling thread's current sink (RAII, nestable — the
+// log2-bucketed histograms, and per-phase nanosecond accumulators; it is
+// the registry field of the calling thread's observability context
+// (support/context.hpp), installed by `Scope` (RAII, nestable — the
 // previous sink is restored).  The hot-path helpers `bump()`, `gauge_add()`,
 // and `record()` are a thread-local load and a predictable branch when no
 // registry is installed, so instrumented code pays ~nothing unless someone
 // is listening (the dormant-hook budget is enforced by bench/fig7_overhead
-// at <= 1.02x geomean).
+// at <= 1.02x geomean).  Phases are timed by prof::Phase
+// (support/profile.hpp), which feeds a profiler node and a Phase slot from
+// one clock pair.
 //
 // Naming: every metric has a canonical dotted name in one of four stable
 // namespaces — `sweep.*` (the spec-family sweep), `engine.*` (serial +
@@ -27,13 +30,12 @@
 // `rader --list-metrics` all derive from the descriptor tables here.
 //
 // Threading: a Registry is single-thread; parallel consumers (the sweep
-// engine) give each worker its own Registry and fold the snapshots together
-// with `Snapshot::add` after joining.  A sweep also forwards its aggregate
-// into the *calling* thread's current registry, so an outer Scope (e.g. the
-// CLI's) observes the whole run: probe + workers + merge.  For LIVE
-// consumers (the sweep's JSONL sampler, the crash handler) there is
-// `SharedSnapshot`: a fixed array of per-writer slots of relaxed atomics
-// that workers overwrite with their current totals and readers sum
+// engine, the parallel engine) give each worker its own Registry through an
+// obs::Fanout and fold them into the caller's registry after joining, so
+// an outer Scope (e.g. the CLI's) observes the whole run: probe + workers +
+// merge.  For LIVE consumers (the sweep's JSONL sampler, the crash handler)
+// there is `SharedSnapshot`: a fixed array of per-writer slots of relaxed
+// atomics that workers overwrite with their current totals and readers sum
 // wait-free — approximate by design, exact once the writers quiesce.
 #pragma once
 
@@ -45,10 +47,12 @@
 #include <string>
 #include <vector>
 
+#include "support/context.hpp"
+
 namespace rader::metrics {
 
 /// Monotonic (steady-clock) nanoseconds since an arbitrary epoch.  The one
-/// time source shared by PhaseTimer, Stopwatch, and the trace subsystem.
+/// time source shared by prof::Phase, Stopwatch, and the trace subsystem.
 std::uint64_t now_nanos();
 
 /// Counter identities.  Canonical dotted names in counter_name().
@@ -204,6 +208,41 @@ struct Snapshot {
   std::string to_json() const;
 };
 
+/// A Snapshot flattened to uint64 words (gauge int64s are bit-cast).
+inline constexpr unsigned kSnapshotWords =
+    kCounterCount + kPhaseCount + 2 * kGaugeCount +
+    kHistogramCount * (2 + kHistogramBuckets);
+static_assert(sizeof(Snapshot) == kSnapshotWords * sizeof(std::uint64_t));
+
+/// How a word folds into a sum of snapshots.
+enum class Fold { kSum, kMax };  // kMax: gauge high-water marks
+
+/// The one spelling of the Snapshot word order — counters, phase timers,
+/// gauges (level, max), histograms (count, sum, buckets) — walked in step
+/// over the snapshots `s...`: `fn(fold, word_of_each...)`, kSnapshotWords
+/// calls.  Snapshot::add/empty, SharedSnapshot's slots and the isolated
+/// sweep's wire format (core/report_wire.hpp) all go through it.
+template <class Fn, class... Snap>
+void for_each_word(Fn&& fn, Snap&... s) {
+  for (unsigned i = 0; i < kCounterCount; ++i) {
+    fn(Fold::kSum, s.counters[i]...);
+  }
+  for (unsigned i = 0; i < kPhaseCount; ++i) {
+    fn(Fold::kSum, s.phase_nanos[i]...);
+  }
+  for (unsigned i = 0; i < kGaugeCount; ++i) {
+    fn(Fold::kSum, s.gauges[i].value...);
+    fn(Fold::kMax, s.gauges[i].max...);
+  }
+  for (unsigned i = 0; i < kHistogramCount; ++i) {
+    fn(Fold::kSum, s.hists[i].count...);
+    fn(Fold::kSum, s.hists[i].sum...);
+    for (unsigned b = 0; b < kHistogramBuckets; ++b) {
+      fn(Fold::kSum, s.hists[i].buckets[b]...);
+    }
+  }
+}
+
 /// A mutable per-thread sink.
 class Registry {
  public:
@@ -237,64 +276,29 @@ class Registry {
   Snapshot snap_;
 };
 
-namespace detail {
-inline thread_local Registry* tl_current = nullptr;
-}  // namespace detail
-
-/// The calling thread's current sink (nullptr = metrics off).
-inline Registry* current() { return detail::tl_current; }
-inline bool enabled() { return detail::tl_current != nullptr; }
-
 /// Hot-path increment: no-op unless a Registry is installed.
 inline void bump(Counter c, std::uint64_t n = 1) {
-  if (Registry* r = detail::tl_current) r->bump(c, n);
+  if (Registry* r = obs::detail::tl_ctx.registry) r->bump(c, n);
 }
 
 /// Hot-path gauge level change (+/-): no-op unless a Registry is installed.
 inline void gauge_add(Gauge g, std::int64_t delta) {
-  if (Registry* r = detail::tl_current) r->gauge_add(g, delta);
+  if (Registry* r = obs::detail::tl_ctx.registry) r->gauge_add(g, delta);
 }
 
 /// Hot-path gauge level overwrite: no-op unless a Registry is installed.
 inline void gauge_set(Gauge g, std::int64_t value) {
-  if (Registry* r = detail::tl_current) r->gauge_set(g, value);
+  if (Registry* r = obs::detail::tl_ctx.registry) r->gauge_set(g, value);
 }
 
 /// Hot-path histogram observation: no-op unless a Registry is installed.
 inline void record(Histogram h, std::uint64_t value) {
-  if (Registry* r = detail::tl_current) r->record(h, value);
+  if (Registry* r = obs::detail::tl_ctx.registry) r->record(h, value);
 }
 
-/// RAII: install `r` as the calling thread's sink for the scope's lifetime.
-class Scope {
- public:
-  explicit Scope(Registry* r) : prev_(detail::tl_current) {
-    detail::tl_current = r;
-  }
-  ~Scope() { detail::tl_current = prev_; }
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Registry* prev_;
-};
-
-/// RAII: accumulate the scope's wall time into phase `p` of the registry
-/// current at construction.  Free (no clock reads) when metrics are off.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase p);
-  ~PhaseTimer();
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  Registry* reg_;
-  Phase phase_;
-  std::uint64_t start_nanos_ = 0;
-};
+/// RAII: install a Registry as the calling thread's sink for the scope's
+/// lifetime (the observability context's Scope, support/context.hpp).
+using Scope = obs::Scope;
 
 /// One row of the registry-backed metric catalog (`rader --list-metrics`,
 /// the Prometheus HELP lines).  `type` is "counter", "gauge", "histogram",
@@ -339,12 +343,7 @@ class SharedSnapshot {
   }
 
  private:
-  // Cells per slot: the Snapshot flattened to uint64 words (gauge int64s
-  // are bit-cast).
-  static constexpr unsigned kWordsPerSlot =
-      kCounterCount + kPhaseCount + 2 * kGaugeCount +
-      kHistogramCount * (2 + kHistogramBuckets);
-
+  // kSnapshotWords cells per slot.
   unsigned slots_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
 };

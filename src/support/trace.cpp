@@ -118,34 +118,4 @@ std::uint64_t Session::total_dropped() const {
   return n;
 }
 
-namespace detail {
-
-namespace {
-std::atomic<Session*> g_session{nullptr};
-}  // namespace
-
-Session* active_session() {
-  return g_session.load(std::memory_order_acquire);
-}
-
-void set_active_session(Session* s) {
-  g_session.store(s, std::memory_order_release);
-}
-
-}  // namespace detail
-
-Scope::Scope(Session* session, std::string thread_name)
-    : prev_session_(detail::active_session()),
-      prev_buffer_(detail::tl_buffer) {
-  detail::set_active_session(session);
-  detail::tl_buffer =
-      session != nullptr ? session->make_buffer(std::move(thread_name))
-                         : nullptr;
-}
-
-Scope::~Scope() {
-  detail::set_active_session(prev_session_);
-  detail::tl_buffer = prev_buffer_;
-}
-
 }  // namespace rader::trace

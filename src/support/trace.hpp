@@ -3,14 +3,14 @@
 // begin/end, view create/destroy, reducer operations, and the first
 // conflicting access per granule as flagged by the detectors).
 //
-// Design mirrors support/metrics: a process-wide `Session` owns one fixed
-// capacity `Buffer` per participating thread; a thread-local pointer is the
-// only hot-path state, so every `emit()` is a TL load plus a predictable
-// branch when tracing is off (off by default; the dormant cost is budgeted
-// by bench/fig7_overhead).  `Scope` (aka rader::TraceScope) activates a
-// session process-wide and attaches a buffer for the calling thread; worker
-// threads started inside the scope attach their own buffers via `session()`
-// + `ThreadScope`.
+// Design mirrors support/metrics: a `Session` owns one fixed capacity
+// `Buffer` per participating thread; the buffer field of the thread's
+// observability context (support/context.hpp) is the only hot-path state,
+// so every `emit()` is a TL load plus a predictable branch when tracing is
+// off (off by default; the dormant cost is budgeted by
+// bench/fig7_overhead).  `TraceScope` attaches a buffer of a session for
+// the calling thread; worker threads started inside it get their own
+// buffers of the same session from the obs::Fanout that starts them.
 //
 // Events carry the frame/strand identifiers the engines already maintain
 // (FrameId, ViewId, ReducerId) plus a *worker* id: the serial engine stamps
@@ -150,37 +150,21 @@ class Session {
   std::atomic<unsigned> crash_count_{0};
 };
 
-namespace detail {
-inline thread_local Buffer* tl_buffer = nullptr;
-inline thread_local std::uint32_t tl_worker = 0;
-/// The process-wide active session (set by Scope, read by worker threads).
-Session* active_session();
-void set_active_session(Session* s);
-}  // namespace detail
-
-/// The process-wide active session, or nullptr when tracing is off.
-inline Session* session() { return detail::active_session(); }
-
-/// The calling thread's buffer (nullptr = this thread is not tracing).
-inline Buffer* buffer() { return detail::tl_buffer; }
-inline bool enabled() { return detail::tl_buffer != nullptr; }
-
-/// Non-RAII attach for long-lived pool threads that outlive any one scope
-/// (they re-check `session()` each loop and re-attach when it changes).
-inline void set_thread_buffer(Buffer* b) { detail::tl_buffer = b; }
+/// Is the calling thread tracing?
+inline bool enabled() { return obs::detail::tl_ctx.buffer != nullptr; }
 
 /// Set the worker id stamped on subsequent events from this thread.  The
 /// serial engine calls this at run start (worker 0) and at each simulated
-/// steal; parallel-engine threads call it once with their worker index.
-inline void set_worker(std::uint32_t w) { detail::tl_worker = w; }
-inline std::uint32_t worker() { return detail::tl_worker; }
+/// steal; parallel-engine helpers get theirs from their obs::Fanout.
+inline void set_worker(std::uint32_t w) { obs::detail::tl_ctx.worker = w; }
 
 /// Record an event on the calling thread's buffer.  A TL load and branch
 /// when tracing is off.
 inline void emit(EventKind kind, FrameId frame, std::uint64_t a = 0,
                  std::uint64_t b = 0, std::uint8_t aux = 0,
                  const char* label = "") {
-  Buffer* buf = detail::tl_buffer;
+  const obs::Context& ctx = obs::detail::tl_ctx;
+  Buffer* buf = ctx.buffer;
   if (buf == nullptr) return;
   Event e;
   e.nanos = metrics::now_nanos();
@@ -188,7 +172,7 @@ inline void emit(EventKind kind, FrameId frame, std::uint64_t a = 0,
   e.b = b;
   e.label = label;
   e.frame = frame;
-  e.worker = detail::tl_worker;
+  e.worker = ctx.worker;
   e.kind = kind;
   e.aux = aux;
   buf->record(e);
@@ -200,7 +184,8 @@ inline void emit(EventKind kind, FrameId frame, std::uint64_t a = 0,
 inline void emit_conflict(FrameId frame, std::uint64_t granule_key,
                           std::uint64_t addr, std::uint64_t prior,
                           std::uint8_t flags, const char* label) {
-  Buffer* buf = detail::tl_buffer;
+  const obs::Context& ctx = obs::detail::tl_ctx;
+  Buffer* buf = ctx.buffer;
   if (buf == nullptr) return;
   if (!buf->note_conflict(granule_key)) return;
   Event e;
@@ -209,47 +194,16 @@ inline void emit_conflict(FrameId frame, std::uint64_t granule_key,
   e.b = prior;
   e.label = label;
   e.frame = frame;
-  e.worker = detail::tl_worker;
+  e.worker = ctx.worker;
   e.kind = EventKind::kConflict;
   e.aux = flags;
   buf->record(e);
 }
 
-/// RAII: activate `session` process-wide and attach a buffer named
-/// `thread_name` for the calling thread.  Nestable; the previous session and
-/// buffer are restored on destruction.  The session itself outlives the
-/// scope (the caller owns it and exports it afterwards).
-class Scope {
- public:
-  explicit Scope(Session* session, std::string thread_name = "main");
-  ~Scope();
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Session* prev_session_;
-  Buffer* prev_buffer_;
-};
-
-/// RAII: attach `buffer` (may be nullptr = tracing off) for the calling
-/// thread only.  Used by pool workers that join an already-active session.
-class ThreadScope {
- public:
-  explicit ThreadScope(Buffer* buffer) : prev_(detail::tl_buffer) {
-    detail::tl_buffer = buffer;
-  }
-  ~ThreadScope() { detail::tl_buffer = prev_; }
-
-  ThreadScope(const ThreadScope&) = delete;
-  ThreadScope& operator=(const ThreadScope&) = delete;
-
- private:
-  Buffer* prev_;
-};
-
 }  // namespace rader::trace
 
 namespace rader {
-using TraceScope = trace::Scope;
+/// RAII: trace the calling thread into a session (the observability
+/// context's Scope, support/context.hpp): `TraceScope(&session, "main")`.
+using TraceScope = obs::Scope;
 }  // namespace rader

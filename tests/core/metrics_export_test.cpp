@@ -27,7 +27,7 @@ metrics::Snapshot sample_snapshot() {
   for (std::uint64_t v : {1, 2, 4, 100}) {
     metrics::record(metrics::Histogram::kAccessBytes, v);
   }
-  metrics::Registry* r = metrics::current();
+  metrics::Registry* r = obs::current().registry;
   r->add_phase_nanos(metrics::Phase::kExecute, 1'500'000'000ull);
   return reg.snapshot();
 }

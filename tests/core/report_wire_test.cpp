@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/driver.hpp"
 #include "core/race_report.hpp"
@@ -143,6 +147,104 @@ TEST(ReportWire, SnapshotWireRejectsWordCountMismatch) {
   EXPECT_FALSE(snapshot_from_wire("3 1 2", &out));
   EXPECT_FALSE(snapshot_from_wire(wire + " 42", &out));
   EXPECT_FALSE(snapshot_from_wire(wire.substr(0, wire.size() / 2), &out));
+}
+
+// Every block at its extremes: a negative gauge level, u64-max words, and
+// both end buckets of a histogram.
+metrics::Snapshot fixed_snapshot() {
+  metrics::Snapshot s;
+  s.counters[static_cast<unsigned>(
+      metrics::Counter::kAccessesInstrumented)] = 1;
+  s.counters[static_cast<unsigned>(metrics::Counter::kSpecRuns)] = 42;
+  s.counters[metrics::kCounterCount - 1] = ~std::uint64_t{0};
+  s.phase_nanos[static_cast<unsigned>(metrics::Phase::kMerge)] = 123456789;
+  s.gauges[0] = {7, 9};
+  s.gauges[metrics::kGaugeCount - 1] = {-3, 5};
+  metrics::HistogramCell& h = s.hists[metrics::kHistogramCount - 1];
+  h.count = 2;
+  h.sum = ~std::uint64_t{0} - 1;
+  h.buckets[0] = 1;
+  h.buckets[metrics::kHistogramBuckets - 1] = 1;
+  return s;
+}
+
+// The isolated sweep's children speak this text: a change to the Snapshot
+// word order or its encoding must fail here, not garble a metrics line.
+TEST(ReportWire, SnapshotWireTextIsPinned) {
+  const std::string expected =
+      "435 1 0 0 0 0 0 0 42 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "18446744073709551615 0 0 0 123456789 7 9 0 0 0 0 0 0 "
+      "18446744073709551613 5 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 2 18446744073709551614 1 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1";
+  EXPECT_EQ(snapshot_to_wire(fixed_snapshot()), expected);
+  metrics::Snapshot back;
+  ASSERT_TRUE(snapshot_from_wire(expected, &back));
+  EXPECT_EQ(back.gauges[metrics::kGaugeCount - 1].value, -3);
+  EXPECT_EQ(snapshot_to_wire(back), expected);
+}
+
+std::vector<std::uint64_t> words(const metrics::Snapshot& s) {
+  std::vector<std::uint64_t> out(metrics::kSnapshotWords);
+  std::memcpy(out.data(), &s, sizeof s);
+  return out;
+}
+
+metrics::Snapshot random_snapshot(std::mt19937_64& rng) {
+  metrics::Registry reg;
+  for (unsigned c = 0; c < metrics::kCounterCount; ++c) {
+    reg.bump(static_cast<metrics::Counter>(c), rng() % 1000);
+  }
+  for (unsigned p = 0; p < metrics::kPhaseCount; ++p) {
+    reg.add_phase_nanos(static_cast<metrics::Phase>(p), rng() % 1'000'000);
+  }
+  for (unsigned g = 0; g < metrics::kGaugeCount; ++g) {
+    // Up, then down past zero more often than not: negative levels.
+    const auto gauge = static_cast<metrics::Gauge>(g);
+    reg.gauge_add(gauge, static_cast<std::int64_t>(rng() % 100));
+    reg.gauge_add(gauge, -static_cast<std::int64_t>(rng() % 200));
+  }
+  for (unsigned h = 0; h < metrics::kHistogramCount; ++h) {
+    const auto hist = static_cast<metrics::Histogram>(h);
+    reg.record(hist, rng() >> (rng() % 64));
+    reg.record(hist, ~std::uint64_t{0});  // the top bucket
+  }
+  return reg.snapshot();
+}
+
+// Snapshot::add, a SharedSnapshot publish/read and a wire round trip fold
+// random snapshots to the same words.
+TEST(ReportWire, SnapshotAddSharedAndWireAgreeWordForWord) {
+  std::mt19937_64 rng(20);
+  for (int round = 0; round < 50; ++round) {
+    const metrics::Snapshot a = random_snapshot(rng);
+    const metrics::Snapshot b = random_snapshot(rng);
+    metrics::Snapshot sum = a;
+    sum.add(b);
+
+    metrics::SharedSnapshot shared(2);
+    shared.publish(0, a);
+    shared.publish(1, b);
+    EXPECT_EQ(words(shared.read()), words(sum)) << "round " << round;
+
+    metrics::Snapshot wire_a;
+    metrics::Snapshot wire_b;
+    ASSERT_TRUE(snapshot_from_wire(snapshot_to_wire(a), &wire_a));
+    ASSERT_TRUE(snapshot_from_wire(snapshot_to_wire(b), &wire_b));
+    EXPECT_EQ(words(wire_a), words(a)) << "round " << round;
+    wire_a.add(wire_b);
+    EXPECT_EQ(words(wire_a), words(sum)) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -395,8 +395,8 @@ TEST(SweepIsolation, PerSpecProfileAndTraceStayInTheChildren) {
     prof::Profiler profiler;
     trace::Session session;
     {
-      prof::Scope pscope(&profiler);
-      trace::Scope tscope(&session);
+      obs::Scope pscope(&profiler);
+      TraceScope tscope(&session);
       SweepOptions options;
       options.isolation = isolation;
       options.threads = 2;

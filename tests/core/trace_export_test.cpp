@@ -33,7 +33,7 @@ void reducer_program() {
 /// Run `reducer_program` under TripleSteal(0,1,2) with tracing on and a
 /// detector attached; returns the populated session via out-params.
 void traced_run(trace::Session* session) {
-  trace::Scope scope(session, "main");
+  TraceScope scope(session, "main");
   RaceLog log;
   SpPlusDetector detector(&log);
   spec::TripleSteal triple(0, 1, 2);
@@ -118,7 +118,7 @@ TEST(TraceExport, SecondRunInOneBufferRestartsPairing) {
   // run's enter/return events independently instead of mixing runs.
   trace::Session session;
   {
-    trace::Scope scope(&session, "main");
+    TraceScope scope(&session, "main");
     RaceLog log;
     SpPlusDetector detector(&log);
     spec::TripleSteal triple(0, 1, 2);
@@ -144,7 +144,7 @@ TEST(TraceExport, ConflictInstantCarriesTheDetectorLabel) {
   static int slot = 0;
   trace::Session session;
   {
-    trace::Scope scope(&session, "main");
+    TraceScope scope(&session, "main");
     RaceLog log;
     SpPlusDetector detector(&log);
     spec::NoSteal none;

@@ -32,6 +32,7 @@
 #include "shadow/packed_shadow.hpp"
 #include "spec/steal_spec.hpp"
 #include "support/metrics.hpp"
+#include "support/profile.hpp"
 #include "support/trace.hpp"
 
 namespace rader {
@@ -186,7 +187,7 @@ TEST(EngineCheckpoint, ResumeRegeneratesViewIdentitiesAndTraceWorkers) {
   // Under tracing, steals advance the simulated-worker allocator; the
   // checkpoint records it and resume must regenerate the same stamping.
   trace::Session session;
-  trace::Scope scope(&session, "checkpoint-test");
+  TraceScope scope(&session, "checkpoint-test");
   spec::StealAll all;
   const auto factory = detector_factories().front();
 
@@ -312,6 +313,31 @@ TEST(EngineCheckpoint, ResumeGoesLiveAtTheFirstPoint) {
     EXPECT_EQ(resumed.to_json(), straight.log.to_json()) << factory.name;
     expect_stats_equal(resumed_stats, straight.stats, factory.name);
   }
+}
+
+// A resumed run's "replay" phase covers the fast-forward only: the run
+// closes it when it goes live, so no phase is left open when resume_from
+// returns, while the engine is still alive.
+TEST(EngineCheckpoint, ReplayPhaseClosesWhenTheRunGoesLive) {
+  spec::StealAll all;
+  StraightRun straight;
+  run_straight(detector_factories().front().make, all, 3, &straight);
+  ASSERT_TRUE(straight.captured);
+  prof::Profiler profiler;
+  obs::Scope scope(&profiler);
+  RaceLog log = straight.ck_log;
+  std::unique_ptr<Tool> tool = straight.ck_tool->fork(&log);
+  SerialEngine engine(tool.get(), &all);
+  SerialEngine::ResumePlan plan;
+  plan.replay = &straight.trail;
+  plan.replay_count = straight.trail.size();
+  plan.live_from = straight.ck.point;
+  plan.expect = &straight.ck;
+  engine.resume_from([] { checkpoint_program(); }, plan);
+  EXPECT_EQ(profiler.current_node(), &profiler.root());
+  ASSERT_EQ(profiler.root().children.size(), 1u);
+  EXPECT_STREQ(profiler.root().children[0]->name, "replay");
+  EXPECT_EQ(profiler.root().children[0]->count, 1u);
 }
 
 TEST(DetectorFork, ForkedDetectorIsIndependentOfTheOriginal) {

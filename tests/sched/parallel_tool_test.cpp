@@ -7,7 +7,8 @@
 // file runs under the TSan CI slice (ctest -L sched).
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -162,9 +163,6 @@ TEST(ParallelTool, TraceBuffersSurviveEngineTeardown) {
     TraceScope ts(&session, "main");
     ParallelEngine engine(4);
     engine.run([] { clean_program(); });
-    // Give every helper at least one idle-loop iteration inside the scope
-    // so it attaches its buffer (helpers re-check the session each loop).
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }  // engine destroyed before the scope closes
   EXPECT_GT(session.total_recorded(), 0u);
   bool saw_worker_buffer = false;
@@ -173,6 +171,40 @@ TEST(ParallelTool, TraceBuffersSurviveEngineTeardown) {
   }
   EXPECT_TRUE(saw_worker_buffer)
       << "helper threads never attached to the session";
+}
+
+// Spawns one child and spins until a helper has run it: the continuation
+// keeps worker 0 busy, so under child stealing only a steal can run it.
+void stolen_child_program() {
+  std::atomic<bool> ran{false};
+  spawn([&ran] { ran.store(true, std::memory_order_release); });
+  while (!ran.load(std::memory_order_acquire)) std::this_thread::yield();
+  sync();
+}
+
+std::uint64_t helper_events(const trace::Session& session) {
+  std::uint64_t n = 0;
+  for (const trace::Buffer* b : session.buffers()) {
+    if (b->name().rfind("pe-worker-", 0) == 0) n += b->recorded();
+  }
+  return n;
+}
+
+// A long-lived engine traces into whichever session its caller has at
+// each run(), even when a later session occupies a freed one's storage:
+// the helpers get their buffers from run(), not from a pointer they
+// remember.
+TEST(ParallelTool, EngineOutlivesTwoTraceSessionsAtOneAddress) {
+  ParallelEngine engine(4);
+  std::optional<trace::Session> session;
+  for (int round = 0; round < 2; ++round) {
+    session.emplace();  // destroys the previous session first
+    {
+      TraceScope ts(&*session, "main");
+      engine.run([] { stolen_child_program(); });
+    }
+    EXPECT_GT(helper_events(*session), 0u) << "session " << round;
+  }
 }
 
 }  // namespace

@@ -25,13 +25,12 @@ void racy_program() {
 }
 
 TEST(Metrics, BumpWithoutScopeIsANoOp) {
-  ASSERT_EQ(metrics::current(), nullptr);
-  EXPECT_FALSE(metrics::enabled());
+  ASSERT_EQ(obs::current().registry, nullptr);
   metrics::bump(metrics::Counter::kDsuFinds);  // must not crash
   metrics::Registry reg;
   {
     metrics::Scope scope(&reg);
-    EXPECT_TRUE(metrics::enabled());
+    EXPECT_EQ(obs::current().registry, &reg);
   }
   // The earlier bump landed nowhere, not in the later registry.
   EXPECT_TRUE(reg.snapshot().empty());
@@ -45,13 +44,13 @@ TEST(Metrics, ScopesNestAndRestore) {
     metrics::bump(metrics::Counter::kSpecRuns);
     {
       metrics::Scope s2(&inner);
-      EXPECT_EQ(metrics::current(), &inner);
+      EXPECT_EQ(obs::current().registry, &inner);
       metrics::bump(metrics::Counter::kSpecRuns, 5);
     }
-    EXPECT_EQ(metrics::current(), &outer);
+    EXPECT_EQ(obs::current().registry, &outer);
     metrics::bump(metrics::Counter::kSpecRuns);
   }
-  EXPECT_EQ(metrics::current(), nullptr);
+  EXPECT_EQ(obs::current().registry, nullptr);
   EXPECT_EQ(outer.snapshot().counter(metrics::Counter::kSpecRuns), 2u);
   EXPECT_EQ(inner.snapshot().counter(metrics::Counter::kSpecRuns), 5u);
 }

@@ -20,13 +20,12 @@ void spin_for_nanos(std::uint64_t nanos) {
 }
 
 TEST(Profile, PhaseWithoutScopeIsANoOp) {
-  ASSERT_EQ(prof::current(), nullptr);
-  EXPECT_FALSE(prof::enabled());
+  ASSERT_EQ(obs::current().profiler, nullptr);
   { prof::Phase p("orphan"); }  // must not crash, must record nowhere
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
-    EXPECT_TRUE(prof::enabled());
+    obs::Scope scope(&profiler);
+    EXPECT_EQ(obs::current().profiler, &profiler);
   }
   EXPECT_TRUE(profiler.empty());
 }
@@ -35,21 +34,21 @@ TEST(Profile, ScopesNestAndRestore) {
   prof::Profiler outer;
   prof::Profiler inner;
   {
-    prof::Scope s1(&outer);
-    EXPECT_EQ(prof::current(), &outer);
+    obs::Scope s1(&outer);
+    EXPECT_EQ(obs::current().profiler, &outer);
     {
-      prof::Scope s2(&inner);
-      EXPECT_EQ(prof::current(), &inner);
+      obs::Scope s2(&inner);
+      EXPECT_EQ(obs::current().profiler, &inner);
     }
-    EXPECT_EQ(prof::current(), &outer);
+    EXPECT_EQ(obs::current().profiler, &outer);
   }
-  EXPECT_EQ(prof::current(), nullptr);
+  EXPECT_EQ(obs::current().profiler, nullptr);
 }
 
 TEST(Profile, TreeBuildsByNamePathWithCounts) {
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     for (int i = 0; i < 3; ++i) {
       prof::Phase sweep("sweep");
       {
@@ -76,7 +75,7 @@ TEST(Profile, SelfTimeIsInclusiveMinusChildrenAndSumsToWallTime) {
   prof::Profiler profiler;
   const std::uint64_t wall_start = metrics::now_nanos();
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     prof::Phase outer("outer");
     spin_for_nanos(2'000'000);  // 2 ms of self time
     {
@@ -104,12 +103,12 @@ TEST(Profile, AbsorbMergesTreesByNamePath) {
   prof::Profiler w0;
   prof::Profiler w1;
   {
-    prof::Scope scope(&w0);
+    obs::Scope scope(&w0);
     prof::Phase spec("spec");
     prof::Phase detect("detect");
   }
   {
-    prof::Scope scope(&w1);
+    obs::Scope scope(&w1);
     {
       prof::Phase spec("spec");
       prof::Phase detect("detect");
@@ -118,10 +117,10 @@ TEST(Profile, AbsorbMergesTreesByNamePath) {
   }
   prof::Profiler total;
   {
-    prof::Scope scope(&total);
+    obs::Scope scope(&total);
     prof::Phase sweep("sweep");
-    prof::current()->absorb(w0.root());
-    prof::current()->absorb(w1.root());
+    obs::current().profiler->absorb(w0.root());
+    obs::current().profiler->absorb(w1.root());
   }
   const prof::Node& sweep = *total.root().children[0];
   ASSERT_EQ(sweep.children.size(), 2u);  // spec (folded) + replay
@@ -140,7 +139,7 @@ TEST(Profile, AbsorbMergesTreesByNamePath) {
 TEST(Profile, CollapsedEmitsEveryPrefixExactlyOnce) {
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     prof::Phase sweep("sweep");
     {
       prof::Phase spec("spec");
@@ -178,7 +177,7 @@ TEST(Profile, CollapsedEmitsEveryPrefixExactlyOnce) {
 TEST(Profile, TableNamesEveryPhase) {
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     prof::Phase sweep("sweep");
     prof::Phase spec("spec");
   }
@@ -187,13 +186,41 @@ TEST(Profile, TableNamesEveryPhase) {
   EXPECT_NE(t.find("spec"), std::string::npos);
 }
 
+// One clock pair feeds both sinks: the profiler node and the metrics phase
+// slot read the same interval, and a nameless phase feeds the slot only.
+TEST(Profile, PhaseFeedsTheProfilerAndTheMetricsSlotFromOneClock) {
+  prof::Profiler profiler;
+  metrics::Registry reg;
+  {
+    obs::Scope pscope(&profiler);
+    metrics::Scope mscope(&reg);
+    {
+      prof::Phase merge("merge", metrics::Phase::kMerge);
+      spin_for_nanos(100'000);
+    }
+    {
+      prof::Phase execute(nullptr, metrics::Phase::kExecute);
+      spin_for_nanos(100'000);
+    }
+  }
+  ASSERT_EQ(profiler.root().children.size(), 1u);
+  const prof::Node& merge = *profiler.root().children[0];
+  EXPECT_STREQ(merge.name, "merge");
+  EXPECT_GE(merge.total_nanos, 100'000u);
+  const metrics::Snapshot& snap = reg.snapshot();
+  EXPECT_EQ(snap.phase_nanos[static_cast<unsigned>(metrics::Phase::kMerge)],
+            merge.total_nanos);
+  EXPECT_GE(snap.phase_nanos[static_cast<unsigned>(metrics::Phase::kExecute)],
+            100'000u);
+}
+
 TEST(Profile, ProfilerIsPerThread) {
   prof::Profiler main_prof;
-  prof::Scope scope(&main_prof);
+  obs::Scope scope(&main_prof);
   std::thread worker([] {
     // The worker thread starts with no profiler installed even while the
     // spawning thread holds one.
-    EXPECT_EQ(prof::current(), nullptr);
+    EXPECT_EQ(obs::current().profiler, nullptr);
     prof::Phase p("worker-noop");  // dormant, records nowhere
   });
   worker.join();

@@ -77,19 +77,19 @@ TEST(TraceScope, EmitIsNoOpWhenInactive) {
 }
 
 TEST(TraceScope, ActivatesAndRestores) {
-  EXPECT_EQ(session(), nullptr);
+  EXPECT_EQ(obs::current().session, nullptr);
   Session s;
   {
-    Scope scope(&s, "main");
-    EXPECT_EQ(session(), &s);
+    TraceScope scope(&s, "main");
+    EXPECT_EQ(obs::current().session, &s);
     ASSERT_TRUE(enabled());
-    EXPECT_EQ(buffer()->name(), "main");
+    EXPECT_EQ(obs::current().buffer->name(), "main");
     set_worker(3);
     emit(EventKind::kSteal, 7, /*a=*/1, /*b=*/2);
-    set_worker(0);
   }
-  EXPECT_EQ(session(), nullptr);
+  EXPECT_EQ(obs::current().session, nullptr);
   EXPECT_FALSE(enabled());
+  EXPECT_EQ(obs::current().worker, 0u);  // the worker id is restored too
   // The recorded event survives the scope with its stamps.
   ASSERT_EQ(s.buffers().size(), 1u);
   const auto events = s.buffers()[0]->ordered();
@@ -103,33 +103,37 @@ TEST(TraceScope, ActivatesAndRestores) {
 TEST(TraceScope, NestedScopesRestoreThePreviousSession) {
   Session outer_s;
   Session inner_s;
-  Scope outer(&outer_s, "outer");
+  TraceScope outer(&outer_s, "outer");
   {
-    Scope inner(&inner_s, "inner");
-    EXPECT_EQ(session(), &inner_s);
+    TraceScope inner(&inner_s, "inner");
+    EXPECT_EQ(obs::current().session, &inner_s);
     emit(EventKind::kSync, 1);
   }
-  EXPECT_EQ(session(), &outer_s);
-  EXPECT_EQ(buffer()->name(), "outer");
+  EXPECT_EQ(obs::current().session, &outer_s);
+  EXPECT_EQ(obs::current().buffer->name(), "outer");
   emit(EventKind::kSync, 2);
   EXPECT_EQ(inner_s.total_recorded(), 1u);
   EXPECT_EQ(outer_s.total_recorded(), 1u);
 }
 
+// A worker thread joins the session through a fan-out of the spawning
+// thread's context: its own named buffer, its own worker id.
 TEST(TraceThreadScope, AttachesAWorkerThreadToTheSession) {
   Session s;
-  Scope scope(&s, "main");
+  TraceScope scope(&s, "main");
+  obs::Fanout workers(obs::current(), 1, "worker", /*first=*/1);
   std::thread worker([&] {
-    EXPECT_FALSE(enabled());  // tl_buffer is thread-local
-    ThreadScope attach(s.make_buffer("worker"));
+    EXPECT_FALSE(enabled());  // the context is thread-local
+    obs::Scope attach(workers.context(1));
     ASSERT_TRUE(enabled());
-    set_worker(1);
     emit(EventKind::kRunBegin, kInvalidFrame);
   });
   worker.join();
+  workers.fold();
   ASSERT_EQ(s.buffers().size(), 2u);
-  EXPECT_EQ(s.buffers()[1]->name(), "worker");
-  EXPECT_EQ(s.buffers()[1]->recorded(), 1u);
+  EXPECT_EQ(s.buffers()[1]->name(), "worker1");
+  ASSERT_EQ(s.buffers()[1]->recorded(), 1u);
+  EXPECT_EQ(s.buffers()[1]->ordered()[0].worker, 1u);
 }
 
 TEST(TraceEvent, KindNamesAreStable) {

@@ -497,9 +497,9 @@ int main(int argc, char** argv) {
   // Phase profiler for the whole check; sweep workers fold their trees in
   // at join, so the CLI's profiler sees probe + sweep + merge.
   prof::Profiler profiler;
-  std::unique_ptr<prof::Scope> prof_scope;
+  std::unique_ptr<obs::Scope> prof_scope;
   if (!profile_path.empty()) {
-    prof_scope = std::make_unique<prof::Scope>(&profiler);
+    prof_scope = std::make_unique<obs::Scope>(&profiler);
   }
 
   // JSONL metrics time series (sweep checks only — the sampler rides the
