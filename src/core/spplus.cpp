@@ -8,10 +8,9 @@ std::unique_ptr<Tool> SpPlusDetector::fork(RaceLog* log) const {
   auto copy = std::make_unique<SpPlusDetector>(log, granule_bits_);
   copy->ds_ = ds_;
   copy->stack_ = stack_;
-  for (auto& f : copy->stack_) {
-    f.s.rebind(&copy->ds_);
-    for (auto& b : f.p_stack) b.rebind(&copy->ds_);
-  }
+  copy->p_bags_ = p_bags_;
+  for (auto& f : copy->stack_) f.s.rebind(&copy->ds_);
+  for (auto& b : copy->p_bags_) b.rebind(&copy->ds_);
   copy->shadow_ = shadow_.fork();
   return copy;
 }
@@ -20,6 +19,7 @@ void SpPlusDetector::on_run_begin() {
   RADER_CHECK_MSG(granule_bits_ < 12, "granule_bits must be < 12");
   ds_.clear();
   stack_.clear();
+  p_bags_.clear();
   shadow_.clear();
 }
 
@@ -34,18 +34,20 @@ void SpPlusDetector::on_frame_enter(FrameId frame, FrameId, FrameKind kind,
   RADER_DCHECK(g.node == frame);
   (void)frame;
   g.is_reduce = (kind == FrameKind::kReduce);
-  RADER_DCHECK(stack_.empty() || stack_.back().p_stack.back().vid() == vid);
+  RADER_DCHECK(p_bags_.empty() || p_bags_.back().vid() == vid);
   g.s = dsu::Bag(&ds_, g.node, dsu::BagKind::kS, vid);
-  g.p_stack.emplace_back(&ds_, dsu::BagKind::kP, vid);
-  stack_.push_back(std::move(g));
+  g.p_base = p_bags_.size();
+  p_bags_.emplace_back(&ds_, dsu::BagKind::kP, vid);
+  stack_.push_back(g);
 }
 
 void SpPlusDetector::on_frame_return(FrameId, FrameId, FrameKind kind) {
-  FrameState child = std::move(stack_.back());
+  FrameState child = stack_.back();
   stack_.pop_back();
   // The implicit sync before return leaves exactly one (empty) P bag.
-  RADER_DCHECK(child.p_stack.size() == 1);
-  RADER_DCHECK(child.p_stack.back().empty());
+  RADER_DCHECK(p_bags_.size() == child.p_base + 1);
+  RADER_DCHECK(p_bags_.back().empty());
+  p_bags_.pop_back();
   if (stack_.empty()) return;  // root returned
   FrameState& parent = stack_.back();
   if (kind == FrameKind::kCalled) {
@@ -56,7 +58,7 @@ void SpPlusDetector::on_frame_return(FrameId, FrameId, FrameKind kind) {
     // the same way: the reduce strand's IDs join the merged top P bag, so
     // the reduce strand stays parallel with other views' descendants but
     // serializes (same vid) with the views it merged.
-    parent.p_stack.back().merge_from(child.s);
+    p_bags_.back().merge_from(child.s);
   }
 }
 
@@ -64,28 +66,27 @@ void SpPlusDetector::on_sync(FrameId) {
   // "F syncs: F.S ∪= Top(F.P); Top(F.P) = MakeBag(∅, F.S.vid)."  All
   // reduces for the sync block have been delivered, so one P bag remains.
   FrameState& f = stack_.back();
-  RADER_DCHECK(f.p_stack.size() == 1);
-  f.s.merge_from(f.p_stack.back());
-  f.p_stack.back() = dsu::Bag(&ds_, dsu::BagKind::kP, f.s.vid());
+  RADER_DCHECK(p_bags_.size() == f.p_base + 1);
+  f.s.merge_from(p_bags_.back());
+  p_bags_.back() = dsu::Bag(&ds_, dsu::BagKind::kP, f.s.vid());
 }
 
 void SpPlusDetector::on_steal(FrameId, std::uint32_t, ViewId new_vid) {
   // "F executes a stolen continuation: Push(F.P, MakeBag(∅, new view ID))."
-  stack_.back().p_stack.emplace_back(&ds_, dsu::BagKind::kP, new_vid);
+  p_bags_.emplace_back(&ds_, dsu::BagKind::kP, new_vid);
 }
 
 void SpPlusDetector::on_reduce(FrameId, ViewId left_vid, ViewId right_vid) {
   // "F executes Reduce: p = Pop(F.P); Top(F.P) ∪= p."  The destination (the
   // dominating view's bag) keeps its view ID.
-  FrameState& f = stack_.back();
-  RADER_DCHECK(f.p_stack.size() >= 2);
-  dsu::Bag popped = std::move(f.p_stack.back());
-  f.p_stack.pop_back();
+  RADER_DCHECK(p_bags_.size() >= stack_.back().p_base + 2);
+  dsu::Bag popped = p_bags_.back();
+  p_bags_.pop_back();
   RADER_DCHECK(popped.vid() == right_vid);
   (void)right_vid;
-  RADER_DCHECK(f.p_stack.back().vid() == left_vid);
+  RADER_DCHECK(p_bags_.back().vid() == left_vid);
   (void)left_vid;
-  f.p_stack.back().merge_from(popped);
+  p_bags_.back().merge_from(popped);
 }
 
 void SpPlusDetector::on_clear(std::uintptr_t addr, std::size_t size) {
@@ -97,8 +98,8 @@ void SpPlusDetector::on_clear(std::uintptr_t addr, std::size_t size) {
 void SpPlusDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                std::size_t size, bool view_aware, ViewId,
                                SrcTag tag) {
-  FrameState& f = stack_.back();
-  const dsu::ViewId cur_vid = f.p_stack.back().vid();
+  const FrameState& f = stack_.back();
+  const dsu::ViewId cur_vid = p_bags_.back().vid();
   const auto fid = static_cast<FrameId>(f.node);
   shadow_.check_access(
       kind == AccessKind::kWrite, addr, size, granule_bits_, f.node,

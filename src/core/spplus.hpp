@@ -66,12 +66,17 @@ class SpPlusDetector final : public Tool {
     dsu::Node node = dsu::kInvalidNode;
     bool is_reduce = false;  // F is an invocation of Reduce
     dsu::Bag s;
-    std::vector<dsu::Bag> p_stack;
+    std::size_t p_base = 0;  // F.P is p_bags_[p_base, end) while F is top
   };
 
   unsigned granule_bits_;
   dsu::DisjointSets ds_;
   std::vector<FrameState> stack_;
+  // Every frame's P stack, one after another: a frame's P bags sit above
+  // its parent's, so the running frame's Top(F.P) is p_bags_.back().
+  // Entering a frame allocates nothing once warm, and fork() copies one
+  // vector.
+  std::vector<dsu::Bag> p_bags_;
   shadow::AccessShadow shadow_;
   RaceLog* log_;
 };

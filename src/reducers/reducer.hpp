@@ -69,8 +69,7 @@ class reducer : public HyperobjectBase {
       return;
     }
     const SrcTag t = tag.label[0] != '\0' ? tag : tag_;
-    View* v = static_cast<View*>(e->current_view(this, t));
-    e->begin_update(this, t);
+    View* v = static_cast<View*>(e->begin_update(this, t));
     struct Guard {
       Engine* eng;
       HyperobjectBase* r;

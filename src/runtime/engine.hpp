@@ -74,14 +74,20 @@ class Engine {
 
   /// The view of `r` for the current strand, creating an identity view
   /// lazily if the current epoch has none (the runtime's lazy view-creation
-  /// semantics).  Never returns nullptr.
+  /// semantics).  Never returns nullptr.  For reads; an Update calls
+  /// begin_update instead.
   virtual void* current_view(HyperobjectBase* r, SrcTag tag) = 0;
 
   /// Report a reducer-read (set_value / get_value) on `r`.
   virtual void reducer_read(HyperobjectBase* r, ReducerOp op, SrcTag tag) = 0;
 
-  /// Bracket user Update code so its accesses are classified view-aware.
-  virtual void begin_update(HyperobjectBase* r, SrcTag tag) = 0;
+  /// Open an Update on `r`: resolve the current view exactly as
+  /// current_view does (lazily creating an identity view), report the
+  /// Update, and open the bracket that classifies the user Update code's
+  /// accesses as view-aware.  Returns the view; end_update closes the
+  /// bracket.  One engine call per Update keeps the hot path to a single
+  /// virtual dispatch.
+  virtual void* begin_update(HyperobjectBase* r, SrcTag tag) = 0;
   virtual void end_update(HyperobjectBase* r) = 0;
 
   // ---- Installation -------------------------------------------------------
@@ -102,7 +108,9 @@ class Engine {
   };
 
  private:
-  static thread_local Engine* tl_current_;
+  // constinit: a constant-initialized thread_local needs no TLS init
+  // wrapper, so Engine::current() from any translation unit is one load.
+  static inline constinit thread_local Engine* tl_current_ = nullptr;
 };
 
 }  // namespace rader

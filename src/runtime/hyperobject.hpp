@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "runtime/types.hpp"
 
@@ -43,6 +44,15 @@ class HyperobjectBase {
 
   /// Source tag used in race reports that mention this reducer.
   virtual SrcTag hyper_tag() const { return SrcTag{"reducer"}; }
+
+ private:
+  friend class SerialEngine;
+  // SerialEngine's binding cache: this reducer's ID in the run stamped
+  // `bound_run_` (0 = never bound).  Only a cache: another engine, or a
+  // later or nested run, overwrites it, and the engine then falls back to
+  // its own reducer map, which stays authoritative.
+  std::uint64_t bound_run_ = 0;
+  ReducerId bound_id_ = kInvalidReducer;
 };
 
 }  // namespace rader

@@ -1,12 +1,21 @@
 #include "runtime/serial_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "runtime/view_arena.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace rader {
+
+namespace {
+
+// Run stamps for the reducers' binding caches: unique across every engine
+// on every thread, never 0 (a never-bound reducer's stamp).
+std::atomic<std::uint64_t> g_next_run_stamp{1};
+
+}  // namespace
 
 void SerialEngine::run(FnView root) {
   replay_ = nullptr;
@@ -38,7 +47,8 @@ void SerialEngine::resume_from(FnView root, const ResumePlan& plan) {
     replay_phase_.reset();
     running_ = false;
     stack_.clear();
-    epochs_ = ViewEpochs();
+    epochs_.clear();
+    drain_.clear();
     view_aware_depth_ = 0;
     replay_ = nullptr;
     replay_count_ = 0;
@@ -65,7 +75,7 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   // addresses are 16-aligned, so the alloca amount is exact.
   constexpr std::uintptr_t kStackSlack = std::uintptr_t{16} << 10;
   constexpr std::uintptr_t kMaxPad = std::uintptr_t{1} << 20;
-  thread_local std::uintptr_t t_user_stack = 0;
+  constinit thread_local std::uintptr_t t_user_stack = 0;
   const auto frame =
       reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
   if (t_user_stack == 0 || frame <= t_user_stack ||
@@ -76,14 +86,17 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   asm volatile("" : : "r"(stack_pad));  // the pad must not be elided
 #endif
   running_ = true;
+  const bool nested = Engine::current() != nullptr;
   Engine::Scope scope(this);
 
   stats_ = Stats{};
   access_hash_ = 0;
   // Rewind the identity-view arena so this run's view #j lands at the same
   // address as every other run's view #j (see runtime/view_arena.hpp); all
-  // views from the previous run were folded away by its end.
-  view_arena::rewind();
+  // views from the previous run were folded away by its end.  A run nested
+  // in another engine's run allocates above it instead: the outer run's
+  // views are still live.
+  if (!nested) view_arena::rewind();
   next_frame_ = 0;
   next_vid_ = 0;
   view_aware_depth_ = 0;
@@ -91,6 +104,7 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   live_ = from_start;
   reducer_ids_.clear();
   reducers_.clear();
+  run_stamp_ = g_next_run_stamp.fetch_add(1, std::memory_order_relaxed);
 
   // A resumed run's fast-forward interval (entry to go_live) is the
   // profiler's "replay" phase.
@@ -112,7 +126,8 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   RADER_CHECK(epochs_.size() == 1);
   // Entries left in the base epoch are reducers' leftmost views, owned by
   // the reducer objects themselves; simply drop the records.
-  epochs_.pop();
+  epochs_.pop(&drain_);
+  drain_.clear();
 
   if (!live_) {
     throw ResumeDiverged{"resume plan's live_from point was never reached"};
@@ -141,13 +156,9 @@ void SerialEngine::capture(EngineCheckpoint* out) const {
   out->frames = stack_;
   out->epoch_vids.clear();
   out->epoch_reducers.clear();
-  for (const ViewEpochs::Epoch& e : epochs_.epochs()) {
-    out->epoch_vids.push_back(e.vid);
-    std::vector<ReducerId> rs;
-    rs.reserve(e.views.size());
-    for (const auto& [h, view] : e.views) rs.push_back(h);
-    std::sort(rs.begin(), rs.end());
-    out->epoch_reducers.push_back(std::move(rs));
+  for (std::size_t d = 0; d < epochs_.size(); ++d) {
+    out->epoch_vids.push_back(epochs_.vid_at(d));
+    out->epoch_reducers.push_back(epochs_.reducers_at(d));
   }
 }
 
@@ -195,19 +206,14 @@ void SerialEngine::go_live(std::size_t point) {
       throw ResumeDiverged{"frame stack mismatch"};
     }
   }
-  const auto& epochs = epochs_.epochs();
-  if (e.epoch_vids.size() != epochs.size()) {
+  if (e.epoch_vids.size() != epochs_.size()) {
     throw ResumeDiverged{"view-epoch stack depth mismatch"};
   }
-  for (std::size_t i = 0; i < epochs.size(); ++i) {
-    if (e.epoch_vids[i] != epochs[i].vid) {
+  for (std::size_t i = 0; i < epochs_.size(); ++i) {
+    if (e.epoch_vids[i] != epochs_.vid_at(i)) {
       throw ResumeDiverged{"view IDs mismatch the checkpoint"};
     }
-    std::vector<ReducerId> rs;
-    rs.reserve(epochs[i].views.size());
-    for (const auto& [h, view] : epochs[i].views) rs.push_back(h);
-    std::sort(rs.begin(), rs.end());
-    if (rs != e.epoch_reducers[i]) {
+    if (epochs_.reducers_at(i) != e.epoch_reducers[i]) {
       throw ResumeDiverged{"reducer-view map mismatch"};
     }
   }
@@ -382,31 +388,29 @@ void SerialEngine::top_merge() {
     }
   } timing;
   const FrameId frame_id = top().id;
-  ViewEpochs::Epoch dead = epochs_.pop();
+  // The dead epoch's views, in registration order (the deterministic reduce
+  // order across reducers), occupy drain_[first, last).  User Reduce code
+  // below may merge nested epochs of its own: those drain above `last` and
+  // truncate back before returning, so indices stay valid even when
+  // drain_ reallocates.
+  const std::size_t first = drain_.size();
+  const ViewId dead_vid = epochs_.pop(&drain_);
+  const std::size_t last = drain_.size();
   ++stats_.reduces;
   const ViewId left_vid = epochs_.top_vid();
-  trace::emit(trace::EventKind::kReduceBegin, frame_id, left_vid, dead.vid);
+  trace::emit(trace::EventKind::kReduceBegin, frame_id, left_vid, dead_vid);
   if (Tool* t = live_tool()) {
-    t->on_reduce(frame_id, left_vid, dead.vid);
+    t->on_reduce(frame_id, left_vid, dead_vid);
   }
-  if (dead.views.empty()) {
-    trace::emit(trace::EventKind::kReduceEnd, frame_id, left_vid, dead.vid);
-    return;
-  }
-
-  // Deterministic reduce order across reducers: registration order.
-  std::vector<std::pair<ReducerId, void*>> items(dead.views.begin(),
-                                                 dead.views.end());
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [h, view] : items) {
+  for (std::size_t i = first; i < last; ++i) {
+    const auto [h, view] = drain_[i];
     if (void* left = epochs_.lookup_top(h)) {
       run_user_reduce(h, left, view);
       // The dominated view dies: drop its shadow so a reusing allocation
       // cannot inherit its access history.
       clear_shadow(reinterpret_cast<std::uintptr_t>(view),
                    reducers_[h]->hyper_view_size());
-      trace::emit(trace::EventKind::kViewDestroy, frame_id, dead.vid, h);
+      trace::emit(trace::EventKind::kViewDestroy, frame_id, dead_vid, h);
       reducers_[h]->hyper_destroy(view);
     } else {
       // No view of h in the dominating epoch: the dominated view survives
@@ -414,7 +418,8 @@ void SerialEngine::top_merge() {
       epochs_.insert_top(h, view);
     }
   }
-  trace::emit(trace::EventKind::kReduceEnd, frame_id, left_vid, dead.vid);
+  drain_.resize(first);
+  trace::emit(trace::EventKind::kReduceEnd, frame_id, left_vid, dead_vid);
 }
 
 void SerialEngine::run_user_reduce(ReducerId h, void* left, void* right) {
@@ -459,14 +464,28 @@ void SerialEngine::clear_shadow(std::uintptr_t addr, std::size_t size) {
   if (Tool* t = live_tool()) t->on_clear(addr, size);
 }
 
-ReducerId SerialEngine::bind(HyperobjectBase* r) {
-  auto it = reducer_ids_.find(r);
-  if (it != reducer_ids_.end()) return it->second;
-  // First contact with a reducer created before run(): its leftmost view
-  // conceptually exists in the outermost (base) epoch.
+ReducerId SerialEngine::add_reducer(HyperobjectBase* r) {
   const auto h = static_cast<ReducerId>(reducers_.size());
   reducers_.push_back(r);
-  reducer_ids_.emplace(r, h);
+  const bool fresh = reducer_ids_.emplace(r, h).second;
+  RADER_CHECK_MSG(fresh, "reducer registered twice");
+  r->bound_run_ = run_stamp_;
+  r->bound_id_ = h;
+  return h;
+}
+
+ReducerId SerialEngine::bind_slow(HyperobjectBase* r) {
+  auto it = reducer_ids_.find(r);
+  if (it != reducer_ids_.end()) {
+    // Bound earlier in this run; another run (a nested engine, say)
+    // overwrote the cache since.
+    r->bound_run_ = run_stamp_;
+    r->bound_id_ = it->second;
+    return it->second;
+  }
+  // First contact with a reducer created before run(): its leftmost view
+  // conceptually exists in the outermost (base) epoch.
+  const ReducerId h = add_reducer(r);
   RADER_CHECK(!epochs_.empty());
   if (epochs_.size() == 1) {
     epochs_.insert_top(h, r->hyper_leftmost());
@@ -481,11 +500,7 @@ ReducerId SerialEngine::bind(HyperobjectBase* r) {
 void SerialEngine::register_reducer(HyperobjectBase* r, void* leftmost_view,
                                     SrcTag tag) {
   if (!running_) return;
-  RADER_CHECK_MSG(reducer_ids_.find(r) == reducer_ids_.end(),
-                  "reducer registered twice");
-  const auto h = static_cast<ReducerId>(reducers_.size());
-  reducers_.push_back(r);
-  reducer_ids_.emplace(r, h);
+  const ReducerId h = add_reducer(r);
   epochs_.insert_top(h, leftmost_view);
   ++stats_.reducer_ops;
   trace::emit(trace::EventKind::kViewCreate, top().id, epochs_.top_vid(), h,
@@ -532,7 +547,11 @@ void SerialEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
 
 void* SerialEngine::current_view(HyperobjectBase* r, SrcTag tag) {
   RADER_CHECK(running_);
-  const ReducerId h = bind(r);
+  return resolve_view(r, bind(r), tag);
+}
+
+void* SerialEngine::resolve_view(HyperobjectBase* r, ReducerId h,
+                                 SrcTag tag) {
   void* v = epochs_.lookup_top(h);
   if (v == nullptr) {
     // Lazy identity-view creation: the first Update access after a steal
@@ -562,14 +581,16 @@ void SerialEngine::reducer_read(HyperobjectBase* r, ReducerOp op, SrcTag tag) {
   if (Tool* t = live_tool()) t->on_reducer_op(op, h, tag);
 }
 
-void SerialEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
+void* SerialEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
   RADER_CHECK(running_);
   const ReducerId h = bind(r);
+  void* v = resolve_view(r, h, tag);
   ++view_aware_depth_;
   ++stats_.reducer_ops;
   trace::emit(trace::EventKind::kReducerOp, top().id, h, 0,
               static_cast<std::uint8_t>(ReducerOp::kUpdate), tag.label);
   if (Tool* t = live_tool()) t->on_reducer_op(ReducerOp::kUpdate, h, tag);
+  return v;
 }
 
 void SerialEngine::end_update(HyperobjectBase*) {

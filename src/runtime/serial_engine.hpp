@@ -185,7 +185,7 @@ class SerialEngine final : public Engine {
   void unregister_reducer(HyperobjectBase* r, SrcTag tag) override;
   void* current_view(HyperobjectBase* r, SrcTag tag) override;
   void reducer_read(HyperobjectBase* r, ReducerOp op, SrcTag tag) override;
-  void begin_update(HyperobjectBase* r, SrcTag tag) override;
+  void* begin_update(HyperobjectBase* r, SrcTag tag) override;
   void end_update(HyperobjectBase* r) override;
 
  private:
@@ -211,17 +211,34 @@ class SerialEngine final : public Engine {
   void run_user_reduce(ReducerId h, void* left, void* right);
   void continuation_point();  // spec consultation after a spawned child
 
-  /// Bind `r` to this engine, assigning a dense ReducerId.  If the reducer
+  /// Bind `r` to this run, assigning a dense ReducerId.  If the reducer
   /// was created before run() (so register_reducer never saw it), its
-  /// leftmost view joins the base epoch.
-  ReducerId bind(HyperobjectBase* r);
+  /// leftmost view joins the base epoch.  The common case is a hit on the
+  /// reducer's own binding cache; bind_slow consults reducer_ids_.
+  ReducerId bind(HyperobjectBase* r) {
+    return r->bound_run_ == run_stamp_ ? r->bound_id_ : bind_slow(r);
+  }
+  ReducerId bind_slow(HyperobjectBase* r);
+  /// Assign the next ReducerId to `r` (which must not be bound to this run
+  /// yet) and fill its binding cache.
+  ReducerId add_reducer(HyperobjectBase* r);
+  /// The view of bound reducer `h` in the top epoch, creating an identity
+  /// view (and reporting kCreateIdentity) if there is none.
+  void* resolve_view(HyperobjectBase* r, ReducerId h, SrcTag tag);
 
   Tool* tool_;
   const spec::StealSpec* spec_;
   ViewEpochs epochs_;
+  // Drain stack for top_merge (ViewEpochs::pop); nested merges run by user
+  // Reduce code drain above the outer one.
+  std::vector<ViewEpochs::Drained> drain_;
   std::vector<Frame> stack_;
+  // Authoritative reducer binding of the current run; touched only when a
+  // reducer's binding cache misses (first contact, or a cache another run
+  // overwrote).  run_stamp_ is unique per run across engines and threads.
   std::unordered_map<HyperobjectBase*, ReducerId> reducer_ids_;
   std::vector<HyperobjectBase*> reducers_;
+  std::uint64_t run_stamp_ = 0;
   FrameId next_frame_ = 0;
   ViewId next_vid_ = 0;
   // Simulated-worker accounting for the trace subsystem: worker 0 runs the

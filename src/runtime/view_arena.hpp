@@ -44,8 +44,9 @@ void* allocate(std::size_t size, std::size_t align);
 
 /// Reset the calling thread's allocation cursor to the floor (the high-water
 /// mark of outside-run allocations), keeping every block.  Called by the
-/// serial engine at the start of each run; all transient views from previous
-/// runs must already be destroyed (the engine folds every view by run end).
+/// serial engine at the start of each run that is not nested in another
+/// engine's run; all transient views from previous runs must already be
+/// destroyed (the engine folds every view by run end).
 /// After an abandoned resume (ResumeDiverged unwinding) leaked views are
 /// reused without their destructors running — the documented leak of
 /// SerialEngine::resume_from.

@@ -17,10 +17,28 @@
 // Lookups consult the TOP epoch only — exactly the lazy view semantics: an
 // update after a steal creates a new identity view even when an older view
 // of the same reducer exists in an outer epoch.
+//
+// Storage is transposed so that the hot path neither hashes nor allocates
+// (OpenCilk keeps one small per-worker table keyed by the reducer for the
+// same reason):
+//
+//   * each reducer owns a stack of (epoch depth, view) records, bottom to
+//     top.  Depths strictly increase along a stack, so the reducer's view
+//     in the top epoch, if any, is its last record: lookup_top is one
+//     compare;
+//   * each epoch keeps the list of reducers holding a view in it (what a
+//     reduce must visit).  Popped epochs keep their list's storage for the
+//     next push;
+//   * pop() hands the dead epoch's views to the caller on a drain stack,
+//     sorted by reducer ID.  Reducer IDs are dense in registration order,
+//     so that is the registration order the reduce must follow.  A drain
+//     grows the stack above any drain still in progress (a user Reduce may
+//     spawn, steal and sync while its caller drains), and the caller
+//     truncates back to the drain's start when done, so the storage is
+//     reused and, once warm, nothing allocates.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/types.hpp"
@@ -30,50 +48,58 @@ namespace rader {
 
 class ViewEpochs {
  public:
-  struct Epoch {
-    ViewId vid = kInvalidView;
-    // reducer id -> view pointer.  Most epochs touch few reducers.
-    std::unordered_map<ReducerId, void*> views;
+  /// One view of a dead epoch, as pop() leaves it on the drain stack.
+  struct Drained {
+    ReducerId h;
+    void* view;
   };
 
-  std::size_t size() const { return stack_.size(); }
-  bool empty() const { return stack_.empty(); }
+  std::size_t size() const { return depth_; }
+  bool empty() const { return depth_ == 0; }
 
-  void push(ViewId vid) { stack_.push_back(Epoch{vid, {}}); }
-
-  /// Pop the newest epoch and hand its contents to the caller (which drives
-  /// the reduce operations).
-  Epoch pop() {
-    RADER_DCHECK(!stack_.empty());
-    Epoch top = std::move(stack_.back());
-    stack_.pop_back();
-    return top;
+  void push(ViewId vid) {
+    if (depth_ == epochs_.size()) epochs_.emplace_back();
+    epochs_[depth_].vid = vid;
+    RADER_DCHECK(epochs_[depth_].members.empty());
+    ++depth_;
   }
 
+  /// Pop the newest epoch: its views are appended to `drain`, sorted by
+  /// reducer ID, and the epoch's view ID is returned.
+  ViewId pop(std::vector<Drained>* drain);
+
   ViewId top_vid() const {
-    RADER_DCHECK(!stack_.empty());
-    return stack_.back().vid;
+    RADER_DCHECK(depth_ > 0);
+    return epochs_[depth_ - 1].vid;
   }
 
   /// View of reducer `h` in the newest epoch, or nullptr.
   void* lookup_top(ReducerId h) const {
-    RADER_DCHECK(!stack_.empty());
-    const auto& views = stack_.back().views;
-    auto it = views.find(h);
-    return it == views.end() ? nullptr : it->second;
+    RADER_DCHECK(depth_ > 0);
+    if (h >= views_.size()) return nullptr;
+    const std::vector<Record>& s = views_[h];
+    return !s.empty() && s.back().depth == depth_ - 1 ? s.back().view
+                                                      : nullptr;
   }
 
+  /// Record `view` as reducer `h`'s view in the newest epoch, which must
+  /// not hold one yet.
   void insert_top(ReducerId h, void* view) {
-    RADER_DCHECK(!stack_.empty());
-    stack_.back().views[h] = view;
+    RADER_DCHECK(depth_ > 0 && lookup_top(h) == nullptr);
+    records(h).push_back(Record{depth_ - 1, view});
+    epochs_[depth_ - 1].members.push_back(h);
   }
 
   /// Record `view` in the base (outermost) epoch — used when a reducer that
   /// was created before the run is first touched, so that its leftmost view
-  /// sits below every epoch a simulated steal may have pushed.
+  /// sits below every epoch a simulated steal may have pushed.  `h` must
+  /// hold no view yet.
   void insert_base(ReducerId h, void* view) {
-    RADER_DCHECK(!stack_.empty());
-    stack_.front().views[h] = view;
+    RADER_DCHECK(depth_ > 0);
+    std::vector<Record>& s = records(h);
+    RADER_DCHECK(s.empty());
+    s.push_back(Record{0, view});
+    epochs_[0].members.push_back(h);
   }
 
   /// Remove every record of reducer `h`, returning its views bottom-to-top
@@ -81,11 +107,37 @@ class ViewEpochs {
   /// destruction.
   std::vector<void*> extract_all(ReducerId h);
 
-  /// All epochs, bottom to top (for assertions and the recorder).
-  const std::vector<Epoch>& epochs() const { return stack_; }
+  /// View ID of the epoch at `depth` (0 = base).
+  ViewId vid_at(std::size_t depth) const {
+    RADER_DCHECK(depth < depth_);
+    return epochs_[depth].vid;
+  }
+
+  /// Sorted IDs of the reducers holding a view in the epoch at `depth` (for
+  /// checkpoints and their verification).
+  std::vector<ReducerId> reducers_at(std::size_t depth) const;
+
+  /// Drop every epoch and record, keeping the storage.
+  void clear();
 
  private:
-  std::vector<Epoch> stack_;
+  struct Record {
+    std::size_t depth;
+    void* view;
+  };
+  struct Epoch {
+    ViewId vid = kInvalidView;
+    std::vector<ReducerId> members;  // reducers with a view in this epoch
+  };
+
+  std::vector<Record>& records(ReducerId h) {
+    if (h >= views_.size()) views_.resize(std::size_t{h} + 1);
+    return views_[h];
+  }
+
+  std::vector<Epoch> epochs_;  // [0, depth_) live; the rest keep storage
+  std::size_t depth_ = 0;
+  std::vector<std::vector<Record>> views_;  // per reducer ID, bottom to top
 };
 
 }  // namespace rader

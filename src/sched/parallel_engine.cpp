@@ -10,10 +10,20 @@
 
 namespace rader {
 
-thread_local ParallelEngine::WorkerState* ParallelEngine::tl_worker_ = nullptr;
+namespace {
 
-ParallelEngine::ParallelEngine(unsigned workers) {
-  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+constexpr std::chrono::microseconds kSpinBeforeSleep{200};
+
+unsigned resolve_workers(unsigned workers) {
+  return workers == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                      : workers;
+}
+
+}  // namespace
+
+ParallelEngine::ParallelEngine(unsigned workers)
+    : helpers_started_(resolve_workers(workers) - 1) {
+  workers = resolve_workers(workers);
   for (unsigned i = 0; i < workers; ++i) {
     auto w = std::make_unique<WorkerState>();
     w->index = i;
@@ -24,10 +34,16 @@ ParallelEngine::ParallelEngine(unsigned workers) {
   for (unsigned i = 1; i < workers; ++i) {
     threads_.emplace_back([this, i] { helper_loop(i); });
   }
+  helpers_started_.wait();
 }
 
 ParallelEngine::~ParallelEngine() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the lock, so a helper between its stop check and its wait
+    // cannot miss the notify.
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   idle_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
@@ -48,6 +64,12 @@ void ParallelEngine::helper_loop(unsigned index) {
   WorkerState& w = *workers_[index];
   tl_worker_ = &w;
   Engine::Scope scope(this);
+  helpers_started_.count_down();
+  // Start of the current spin: a helper that just started or just finished
+  // a task keeps stealing for kSpinBeforeSleep before it sleeps, because
+  // waking a sleeping thread can take longer than a burst of short tasks
+  // lasts.  A helper that wakes from a sleep does not spin again.
+  auto spin_start = std::chrono::steady_clock::now();
   while (!stop_.load(std::memory_order_acquire)) {
     std::size_t victim = 0;
     if (ChildRecord* rec = steal(w, &victim)) {
@@ -57,13 +79,27 @@ void ParallelEngine::helper_loop(unsigned index) {
       obs::Scope sinks(w.sinks);
       note_steal(victim);
       execute_child(w, rec);
+      spin_start = std::chrono::steady_clock::now();
       continue;
     }
-    // Nothing to steal: back off, then sleep until new work is spawned.
+    if (std::chrono::steady_clock::now() - spin_start < kSpinBeforeSleep) {
+      std::this_thread::yield();
+      continue;
+    }
+    // Nothing to steal: sleep until new work is spawned.  Register as a
+    // sleeper, then look for work once more.  With a seq_cst fence on both
+    // sides (here and in wake_helpers), a push that raced with the failed
+    // steal is either seen by this look or sees the registration; in the
+    // latter case the pusher takes idle_mu_, which this thread holds until
+    // it waits, before it notifies.  The timeout is only a backstop.
     std::unique_lock<std::mutex> lock(idle_mu_);
     sleeping_.fetch_add(1, std::memory_order_relaxed);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!work_visible(w) && !stop_.load(std::memory_order_acquire)) {
+      idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    }
     sleeping_.fetch_sub(1, std::memory_order_relaxed);
+    spin_start = {};
   }
   tl_worker_ = nullptr;
 }
@@ -93,8 +129,23 @@ void ParallelEngine::note_steal(std::size_t victim) {
   trace::emit(trace::EventKind::kSteal, kInvalidFrame, victim, 0);
 }
 
+bool ParallelEngine::work_visible(const WorkerState& w) const {
+  for (const auto& v : workers_) {
+    if (v->index != w.index && !v->deque.empty()) return true;
+  }
+  return false;
+}
+
 void ParallelEngine::wake_helpers() {
-  if (sleeping_.load(std::memory_order_relaxed) > 0) idle_cv_.notify_all();
+  // Pairs with the fence in helper_loop (see there): the push before this
+  // fence and a helper's sleeper registration cannot both go unseen.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleeping_.load(std::memory_order_relaxed) > 0) {
+    // Taking the lock orders the notify after every registered sleeper's
+    // wait has begun.
+    { std::lock_guard<std::mutex> lock(idle_mu_); }
+    idle_cv_.notify_all();
+  }
 }
 
 void ParallelEngine::run(FnView root) {
@@ -444,8 +495,11 @@ void ParallelEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
 }
 
 void* ParallelEngine::current_view(HyperobjectBase* r, SrcTag) {
-  const ReducerId h = get_or_register(r, r->hyper_leftmost());
-  WorkerState& w = self();
+  return bound_view(self(), r, get_or_register(r, r->hyper_leftmost()));
+}
+
+void* ParallelEngine::bound_view(WorkerState& w, HyperobjectBase* r,
+                                 ReducerId h) {
   // The serial engine binds reducers silently at view lookups; the marker
   // pins the slot's first-contact position in the spliced stream so the
   // replayer renumbers reducers in serial bind order (tool/shard.hpp).
@@ -478,17 +532,16 @@ void ParallelEngine::reducer_read(HyperobjectBase* r, ReducerOp op,
   record(self(), e);
 }
 
-void ParallelEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
-  if (tool_ == nullptr || !running_.load(std::memory_order_acquire) ||
-      tl_worker_ == nullptr) {
-    return;
-  }
+void* ParallelEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
+  WorkerState& w = self();
   const ReducerId h = get_or_register(r, r->hyper_leftmost());
+  void* view = bound_view(w, r, h);
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kUpdate)};
   e.slot = h;
   e.label = tag.label;
-  record(self(), e);
+  record(w, e);
+  return view;
 }
 
 }  // namespace rader

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -88,7 +89,7 @@ class ParallelEngine final : public Engine {
   void unregister_reducer(HyperobjectBase* r, SrcTag tag) override;
   void* current_view(HyperobjectBase* r, SrcTag tag) override;
   void reducer_read(HyperobjectBase* r, ReducerOp op, SrcTag tag) override;
-  void begin_update(HyperobjectBase* r, SrcTag tag) override;
+  void* begin_update(HyperobjectBase* r, SrcTag tag) override;
   void end_update(HyperobjectBase*) override {}
 
  private:
@@ -137,7 +138,7 @@ class ParallelEngine final : public Engine {
     int suppress = 0;
   };
 
-  static thread_local WorkerState* tl_worker_;
+  static inline constinit thread_local WorkerState* tl_worker_ = nullptr;
 
   WorkerState& self() {
     RADER_CHECK_MSG(tl_worker_ != nullptr,
@@ -154,15 +155,23 @@ class ParallelEngine final : public Engine {
   void do_sync(WorkerState& w);
   void fold_map(Hypermap& acc, Hypermap& right);
   void wake_helpers();
+  /// Any other worker's deque holds a task (racy; a hint for sleepers).
+  bool work_visible(const WorkerState& w) const;
 
   /// Append `e` to the calling worker's current segment shard (no-op
   /// without a tool, under suppression, or outside a frame).
   void record(WorkerState& w, const ShardEvent& e);
 
   ReducerId get_or_register(HyperobjectBase* r, void* leftmost);
+  /// The view of registered reducer `h` in `w`'s current segment, created
+  /// lazily; records the kBind marker first.
+  void* bound_view(WorkerState& w, HyperobjectBase* r, ReducerId h);
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::thread> threads_;
+  // Counts the helpers into helper_loop: the constructor returns only once
+  // every helper has run, so a first run() does not race their creation.
+  std::latch helpers_started_;
 
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;

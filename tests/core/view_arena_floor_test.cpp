@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/sweep.hpp"
 #include "reducers/monoid.hpp"
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
+#include "runtime/serial_engine.hpp"
 #include "runtime/view_arena.hpp"
 #include "spec/steal_spec.hpp"
 
@@ -66,6 +68,32 @@ ProgramFactory arena_hungry_factory() {
       *fixture += sum.get_value();
     });
   };
+}
+
+TEST(ViewArenaNesting, ANestedRunKeepsTheOuterRunsLiveViews) {
+  // The outer run holds an identity view in the arena when an inner run on
+  // the same thread starts; rewinding there handed the inner run that
+  // view's storage, and the outer value came out "L2S".
+  spec::StealAll all;
+  SerialEngine outer(nullptr, &all), inner(nullptr, &all);
+  std::string outer_value, inner_value;
+  outer.run([&] {
+    reducer<monoid::string_append> a;
+    spawn([&] { a.update([](std::string& s) { s += "L"; }); });
+    a.update([](std::string& s) { s += "R"; });  // identity view, live
+    inner.run([&] {
+      reducer<monoid::string_append> b;
+      spawn([&] { b.update([](std::string& s) { s += "1"; }); });
+      b.update([](std::string& s) { s += "2"; });
+      rader::sync();
+      inner_value = b.get_value();
+    });
+    a.update([](std::string& s) { s += "S"; });
+    rader::sync();
+    outer_value = a.get_value();
+  });
+  EXPECT_EQ(inner_value, "12");
+  EXPECT_EQ(outer_value, "LRS");
 }
 
 TEST(ViewArenaFloor, ThousandSweepsDoNotGrowTheFloor) {

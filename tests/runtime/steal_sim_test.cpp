@@ -237,6 +237,46 @@ TEST(StealSim, MultipleReducersReduceInRegistrationOrder) {
   EXPECT_LT(joined.find("redop(reduce,h0)"), joined.find("redop(reduce,h1)"));
 }
 
+TEST(StealSim, ReducesRunInRegistrationOrderNotFirstUpdateOrder) {
+  // Three reducers first updated in reverse registration order within one
+  // stolen epoch: the epoch merge must still reduce h0, h1, h2 in turn.
+  EventLogTool log;
+  spec::StealAll all;
+  SerialEngine engine(&log, &all);
+  std::string va, vb, vc;
+  engine.run([&] {
+    reducer<monoid::string_append> a, b, c;
+    spawn([&] {
+      a.update([](std::string& s) { s += "a1"; });
+      b.update([](std::string& s) { s += "b1"; });
+      c.update([](std::string& s) { s += "c1"; });
+    });
+    // The stolen continuation's epoch: identity views minted c, b, a.
+    c.update([](std::string& s) { s += "c2"; });
+    b.update([](std::string& s) { s += "b2"; });
+    a.update([](std::string& s) { s += "a2"; });
+    sync();
+    va = a.get_value();
+    vb = b.get_value();
+    vc = c.get_value();
+  });
+  EXPECT_EQ(va, "a1a2");
+  EXPECT_EQ(vb, "b1b2");
+  EXPECT_EQ(vc, "c1c2");
+  EXPECT_EQ(engine.stats().reduces, 1u);
+  EXPECT_EQ(engine.stats().user_reduces, 3u);
+  const std::string joined = log.joined();
+  const auto r0 = joined.find("redop(reduce,h0)");
+  const auto r1 = joined.find("redop(reduce,h1)");
+  const auto r2 = joined.find("redop(reduce,h2)");
+  ASSERT_NE(r2, std::string::npos);
+  EXPECT_LT(r0, r1);
+  EXPECT_LT(r1, r2);
+  // And the identities were minted in first-update order, h2 first.
+  EXPECT_LT(joined.find("redop(identity,h2)"),
+            joined.find("redop(identity,h0)"));
+}
+
 TEST(StealSim, NestedFramesGetIndependentSyncBlocks) {
   spec::TripleSteal triple(0, 1, 2);
   SerialEngine engine(nullptr, &triple);
