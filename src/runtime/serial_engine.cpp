@@ -48,7 +48,6 @@ void SerialEngine::resume_from(FnView root, const ResumePlan& plan) {
     running_ = false;
     stack_.clear();
     epochs_.clear();
-    drain_.clear();
     view_aware_depth_ = 0;
     replay_ = nullptr;
     replay_count_ = 0;
@@ -126,8 +125,7 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   RADER_CHECK(epochs_.size() == 1);
   // Entries left in the base epoch are reducers' leftmost views, owned by
   // the reducer objects themselves; simply drop the records.
-  epochs_.pop(&drain_);
-  drain_.clear();
+  epochs_.clear();
 
   if (!live_) {
     throw ResumeDiverged{"resume plan's live_from point was never reached"};
@@ -389,21 +387,18 @@ void SerialEngine::top_merge() {
   } timing;
   const FrameId frame_id = top().id;
   // The dead epoch's views, in registration order (the deterministic reduce
-  // order across reducers), occupy drain_[first, last).  User Reduce code
-  // below may merge nested epochs of its own: those drain above `last` and
-  // truncate back before returning, so indices stay valid even when
-  // drain_ reallocates.
-  const std::size_t first = drain_.size();
-  const ViewId dead_vid = epochs_.pop(&drain_);
-  const std::size_t last = drain_.size();
+  // order across reducers).  User Reduce code below may merge nested epochs
+  // of its own; those drains end before it returns.
+  const ViewEpochs::Drain drain = epochs_.pop();
+  const ViewId dead_vid = drain.vid;
   ++stats_.reduces;
   const ViewId left_vid = epochs_.top_vid();
   trace::emit(trace::EventKind::kReduceBegin, frame_id, left_vid, dead_vid);
   if (Tool* t = live_tool()) {
     t->on_reduce(frame_id, left_vid, dead_vid);
   }
-  for (std::size_t i = first; i < last; ++i) {
-    const auto [h, view] = drain_[i];
+  for (std::size_t i = drain.first; i < drain.last; ++i) {
+    const auto [h, view] = epochs_.drained(i);
     if (void* left = epochs_.lookup_top(h)) {
       run_user_reduce(h, left, view);
       // The dominated view dies: drop its shadow so a reusing allocation
@@ -418,7 +413,7 @@ void SerialEngine::top_merge() {
       epochs_.insert_top(h, view);
     }
   }
-  drain_.resize(first);
+  epochs_.end_drain(drain);
   trace::emit(trace::EventKind::kReduceEnd, frame_id, left_vid, dead_vid);
 }
 

@@ -229,9 +229,6 @@ class SerialEngine final : public Engine {
   Tool* tool_;
   const spec::StealSpec* spec_;
   ViewEpochs epochs_;
-  // Drain stack for top_merge (ViewEpochs::pop); nested merges run by user
-  // Reduce code drain above the outer one.
-  std::vector<ViewEpochs::Drained> drain_;
   std::vector<Frame> stack_;
   // Authoritative reducer binding of the current run; touched only when a
   // reducer's binding cache misses (first contact, or a cache another run

@@ -4,21 +4,21 @@
 
 namespace rader {
 
-ViewId ViewEpochs::pop(std::vector<Drained>* drain) {
+ViewEpochs::Drain ViewEpochs::pop() {
   RADER_DCHECK(depth_ > 0);
   --depth_;
   Epoch& dead = epochs_[depth_];
-  const std::size_t first = drain->size();
+  const std::size_t first = drain_.size();
   for (const ReducerId h : dead.members) {
     std::vector<Record>& s = views_[h];
     RADER_DCHECK(!s.empty() && s.back().depth == depth_);
-    drain->push_back(Drained{h, s.back().view});
+    drain_.push_back(Drained{h, s.back().view});
     s.pop_back();
   }
   dead.members.clear();
-  std::sort(drain->begin() + static_cast<std::ptrdiff_t>(first), drain->end(),
+  std::sort(drain_.begin() + static_cast<std::ptrdiff_t>(first), drain_.end(),
             [](const Drained& a, const Drained& b) { return a.h < b.h; });
-  return dead.vid;
+  return Drain{dead.vid, first, drain_.size()};
 }
 
 std::vector<void*> ViewEpochs::extract_all(ReducerId h) {
@@ -44,6 +44,7 @@ void ViewEpochs::clear() {
   for (std::size_t d = 0; d < depth_; ++d) epochs_[d].members.clear();
   depth_ = 0;
   for (std::vector<Record>& s : views_) s.clear();
+  drain_.clear();
 }
 
 }  // namespace rader

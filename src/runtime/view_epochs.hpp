@@ -29,13 +29,13 @@
 //   * each epoch keeps the list of reducers holding a view in it (what a
 //     reduce must visit).  Popped epochs keep their list's storage for the
 //     next push;
-//   * pop() hands the dead epoch's views to the caller on a drain stack,
-//     sorted by reducer ID.  Reducer IDs are dense in registration order,
-//     so that is the registration order the reduce must follow.  A drain
-//     grows the stack above any drain still in progress (a user Reduce may
-//     spawn, steal and sync while its caller drains), and the caller
-//     truncates back to the drain's start when done, so the storage is
-//     reused and, once warm, nothing allocates.
+//   * pop() moves the dead epoch's views onto a drain stack, sorted by
+//     reducer ID.  Reducer IDs are dense in registration order, so that is
+//     the registration order the reduce must follow.  A drain grows the
+//     stack above any drain still in progress (a user Reduce may spawn,
+//     steal and sync while its caller drains), and end_drain() truncates
+//     back to the drain's start, so the storage is reused and, once warm,
+//     nothing allocates.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +53,12 @@ class ViewEpochs {
     ReducerId h;
     void* view;
   };
+  /// A dead epoch's views: drained(i) for i in [first, last).
+  struct Drain {
+    ViewId vid;
+    std::size_t first;
+    std::size_t last;
+  };
 
   std::size_t size() const { return depth_; }
   bool empty() const { return depth_ == 0; }
@@ -64,9 +70,22 @@ class ViewEpochs {
     ++depth_;
   }
 
-  /// Pop the newest epoch: its views are appended to `drain`, sorted by
-  /// reducer ID, and the epoch's view ID is returned.
-  ViewId pop(std::vector<Drained>* drain);
+  /// Pop the newest epoch, appending its views to the drain stack sorted
+  /// by reducer ID.  The caller reads them by index (nested drains may
+  /// reallocate the stack) and calls end_drain() when done.
+  Drain pop();
+
+  Drained drained(std::size_t i) const {
+    RADER_DCHECK(i < drain_.size());
+    return drain_[i];
+  }
+
+  /// Truncate the drain stack back to `d`'s start; drains nested inside
+  /// `d` must have ended already.
+  void end_drain(const Drain& d) {
+    RADER_DCHECK(drain_.size() == d.last);
+    drain_.resize(d.first);
+  }
 
   ViewId top_vid() const {
     RADER_DCHECK(depth_ > 0);
@@ -117,7 +136,7 @@ class ViewEpochs {
   /// checkpoints and their verification).
   std::vector<ReducerId> reducers_at(std::size_t depth) const;
 
-  /// Drop every epoch and record, keeping the storage.
+  /// Drop every epoch, record and drain, keeping the storage.
   void clear();
 
  private:
@@ -138,6 +157,7 @@ class ViewEpochs {
   std::vector<Epoch> epochs_;  // [0, depth_) live; the rest keep storage
   std::size_t depth_ = 0;
   std::vector<std::vector<Record>> views_;  // per reducer ID, bottom to top
+  std::vector<Drained> drain_;  // nested drains, innermost on top
 };
 
 }  // namespace rader

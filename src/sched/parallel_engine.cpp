@@ -10,20 +10,8 @@
 
 namespace rader {
 
-namespace {
-
-constexpr std::chrono::microseconds kSpinBeforeSleep{200};
-
-unsigned resolve_workers(unsigned workers) {
-  return workers == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                      : workers;
-}
-
-}  // namespace
-
-ParallelEngine::ParallelEngine(unsigned workers)
-    : helpers_started_(resolve_workers(workers) - 1) {
-  workers = resolve_workers(workers);
+ParallelEngine::ParallelEngine(unsigned workers) {
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   for (unsigned i = 0; i < workers; ++i) {
     auto w = std::make_unique<WorkerState>();
     w->index = i;
@@ -34,7 +22,6 @@ ParallelEngine::ParallelEngine(unsigned workers)
   for (unsigned i = 1; i < workers; ++i) {
     threads_.emplace_back([this, i] { helper_loop(i); });
   }
-  helpers_started_.wait();
 }
 
 ParallelEngine::~ParallelEngine() {
@@ -64,12 +51,6 @@ void ParallelEngine::helper_loop(unsigned index) {
   WorkerState& w = *workers_[index];
   tl_worker_ = &w;
   Engine::Scope scope(this);
-  helpers_started_.count_down();
-  // Start of the current spin: a helper that just started or just finished
-  // a task keeps stealing for kSpinBeforeSleep before it sleeps, because
-  // waking a sleeping thread can take longer than a burst of short tasks
-  // lasts.  A helper that wakes from a sleep does not spin again.
-  auto spin_start = std::chrono::steady_clock::now();
   while (!stop_.load(std::memory_order_acquire)) {
     std::size_t victim = 0;
     if (ChildRecord* rec = steal(w, &victim)) {
@@ -79,11 +60,6 @@ void ParallelEngine::helper_loop(unsigned index) {
       obs::Scope sinks(w.sinks);
       note_steal(victim);
       execute_child(w, rec);
-      spin_start = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (std::chrono::steady_clock::now() - spin_start < kSpinBeforeSleep) {
-      std::this_thread::yield();
       continue;
     }
     // Nothing to steal: sleep until new work is spawned.  Register as a
@@ -99,7 +75,6 @@ void ParallelEngine::helper_loop(unsigned index) {
       idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
     }
     sleeping_.fetch_sub(1, std::memory_order_relaxed);
-    spin_start = {};
   }
   tl_worker_ = nullptr;
 }

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <latch>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -169,9 +168,6 @@ class ParallelEngine final : public Engine {
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::thread> threads_;
-  // Counts the helpers into helper_loop: the constructor returns only once
-  // every helper has run, so a first run() does not race their creation.
-  std::latch helpers_started_;
 
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;

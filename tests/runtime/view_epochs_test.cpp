@@ -107,20 +107,19 @@ class ViewEpochsModelCheck {
     ASSERT_GE(model_.size(), 2u);
     ModelEpoch dead = model_.back();
     model_.pop_back();
-    const std::size_t first = drain_.size();
-    EXPECT_EQ(ve_.pop(&drain_), dead.vid);
-    const std::size_t last = drain_.size();
+    const ViewEpochs::Drain drain = ve_.pop();
+    EXPECT_EQ(drain.vid, dead.vid);
     // The drain holds the dead epoch's views in registration order.
-    ASSERT_EQ(last - first, dead.views.size());
-    std::size_t i = first;
+    ASSERT_EQ(drain.last - drain.first, dead.views.size());
+    std::size_t i = drain.first;
     for (const auto& [h, v] : dead.views) {
-      EXPECT_EQ(drain_[i].h, h);
-      EXPECT_EQ(drain_[i].view, v);
+      EXPECT_EQ(ve_.drained(i).h, h);
+      EXPECT_EQ(ve_.drained(i).view, v);
       ++i;
     }
-    for (i = first; i < last; ++i) {
+    for (i = drain.first; i < drain.last; ++i) {
       if (nest > 0 && rng_.below(2) == 0) nested(nest);
-      const ViewEpochs::Drained d = drain_[i];
+      const ViewEpochs::Drained d = ve_.drained(i);
       auto& top = model_.back().views;
       auto it = top.find(d.h);
       void* left = ve_.lookup_top(d.h);
@@ -130,7 +129,7 @@ class ViewEpochsModelCheck {
         top[d.h] = d.view;
       }
     }
-    drain_.resize(first);
+    ve_.end_drain(drain);
   }
 
   void step(int nest) {
@@ -177,7 +176,6 @@ class ViewEpochsModelCheck {
 
   Rng rng_;
   ViewEpochs ve_;
-  std::vector<ViewEpochs::Drained> drain_;
   std::vector<ModelEpoch> model_;
   ViewId next_vid_ = 0;
   std::uintptr_t views_ = 0;
