@@ -1,25 +1,21 @@
 // Baseline ablation: SP-bags (disjoint-set bags, the paper's foundation) vs
-// SP-order (order-maintenance labels, Bender et al.) vs SP+ (SP-bags +
-// view tracking) on the six benchmarks.
+// SP+ (SP-bags + view tracking) on the six benchmarks.
 //
-// The related-work comparison the paper makes analytically: SP-bags pays
-// α(v,v) per check; SP-order pays O(1) per check but O(log n) amortized per
-// strand insertion; SP+ adds view bookkeeping on top of SP-bags.  This
-// harness measures the constant factors on real access streams.
+// SP+ adds view bookkeeping on top of SP-bags; this harness measures what
+// that costs on real access streams.
 #include <cstdio>
 
 #include "apps/workloads.hpp"
 #include "bench_util.hpp"
 #include "core/spbags.hpp"
-#include "core/sporder.hpp"
 
 int main(int argc, char** argv) {
   using namespace rader;
   const double scale = bench::parse_scale(argc, argv, 0.05);
   const int reps = bench::parse_reps(argc, argv, 2);
   std::printf("baseline_compare: scale=%.3g reps=%d\n", scale, reps);
-  std::printf("%-10s %12s %12s %12s %12s %14s\n", "benchmark", "none(s)",
-              "spbags", "sporder", "sp+ (x over none)", "OM relabels");
+  std::printf("%-10s %12s %12s %12s\n", "benchmark", "none(s)", "spbags",
+              "sp+ (x over none)");
 
   spec::NoSteal none;
   for (auto& w : apps::make_paper_benchmarks(scale)) {
@@ -29,21 +25,15 @@ int main(int argc, char** argv) {
     SpBagsDetector bags(&bags_log);
     const double t_bags = bench::time_config(w, &bags, &none, reps);
 
-    RaceLog order_log;
-    SpOrderDetector order(&order_log);
-    const double t_order = bench::time_config(w, &order, &none, reps);
-    const std::uint64_t relabels = order.relabel_count();
-
     RaceLog plus_log;
     SpPlusDetector plus(&plus_log);
     const double t_plus = bench::time_config(w, &plus, &none, reps);
 
-    std::printf("%-10s %12.4f %9.2fx %9.2fx %9.2fx %17llu\n", w.name.c_str(),
-                t_none, t_bags / t_none, t_order / t_none, t_plus / t_none,
-                static_cast<unsigned long long>(relabels));
+    std::printf("%-10s %12.4f %9.2fx %9.2fx\n", w.name.c_str(), t_none,
+                t_bags / t_none, t_plus / t_none);
   }
   std::printf(
-      "\n(all three run the no-steal serial schedule; SP-bags and SP-order\n"
-      " are reducer-oblivious baselines, SP+ is the paper's detector.)\n");
+      "\n(both run the no-steal serial schedule; SP-bags is the\n"
+      " reducer-oblivious baseline, SP+ is the paper's detector.)\n");
   return 0;
 }

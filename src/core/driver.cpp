@@ -8,28 +8,13 @@
 
 namespace rader {
 
-namespace {
-
-/// Wrap `detector` when sampling is on, seeding from the spec description
-/// so every entry point derives sample sets the same way the sweep does.
-std::unique_ptr<SamplingTool> maybe_sampler(Tool* detector,
-                                            const SamplingConfig& sampling,
-                                            const std::string& spec_describe) {
-  if (!sampling.enabled) return nullptr;
-  SamplingConfig cfg = sampling;
-  cfg.seed = sampling_seed_for_spec(cfg.seed, spec_describe);
-  return std::make_unique<SamplingTool>(detector, cfg);
-}
-
-}  // namespace
-
 RaceLog Rader::check_view_read(FnView program,
                                const SamplingConfig& sampling) {
   RaceLog log;
   PeerSetDetector detector(&log);
   spec::NoSteal no_steal;
-  auto sampler = maybe_sampler(&detector, sampling, no_steal.describe());
-  run_serial(program, sampler ? (Tool*)sampler.get() : &detector, &no_steal);
+  SpecSampler sampler(&detector, sampling, no_steal.describe());
+  run_serial(program, sampler.tool(), &no_steal);
   return log;
 }
 
@@ -50,11 +35,10 @@ RaceLog Rader::check_determinacy(FnView program,
                                  const SamplingConfig& sampling) {
   RaceLog log;
   SpPlusDetector detector(&log);
-  auto sampler = maybe_sampler(&detector, sampling, steal_spec.describe());
+  SpecSampler sampler(&detector, sampling, steal_spec.describe());
   {
     prof::Phase execute(nullptr, metrics::Phase::kExecute);
-    run_serial(program, sampler ? (Tool*)sampler.get() : &detector,
-               &steal_spec);
+    run_serial(program, sampler.tool(), &steal_spec);
   }
   metrics::bump(metrics::Counter::kSpecRuns);
   log.stamp_found_under(steal_spec.describe());
@@ -65,8 +49,8 @@ RaceLog Rader::check_spbags(FnView program, const SamplingConfig& sampling) {
   RaceLog log;
   SpBagsDetector detector(&log);
   spec::NoSteal no_steal;
-  auto sampler = maybe_sampler(&detector, sampling, no_steal.describe());
-  run_serial(program, sampler ? (Tool*)sampler.get() : &detector, &no_steal);
+  SpecSampler sampler(&detector, sampling, no_steal.describe());
+  run_serial(program, sampler.tool(), &no_steal);
   return log;
 }
 
@@ -90,13 +74,27 @@ SweepResult Rader::check_with_family(
 
 namespace {
 
-/// The Section-7 coverage family with the no-steal spec prepended (SP-bags
-/// coverage of the serial schedule), sized by the probe run's K and D.
-std::vector<std::unique_ptr<spec::StealSpec>> exhaustive_family(
-    std::uint32_t k, std::uint64_t depth) {
+/// The Section-7 probe: one no-steal Peer-Set run logs view-read races into
+/// `result` and learns K and D (capped).  Returns the O(KD + K³) family
+/// they size, with the no-steal spec prepended (SP-bags coverage of the
+/// serial schedule).
+std::vector<std::unique_ptr<spec::StealSpec>> probe_family(
+    FnView program, std::uint32_t k_cap, std::uint64_t depth_cap,
+    const SamplingConfig& sampling, Rader::ExhaustiveResult* result) {
+  {
+    prof::Phase probe("probe", metrics::Phase::kProbe);
+    PeerSetDetector peerset(&result->log);
+    spec::NoSteal no_steal;
+    SpecSampler sampler(&peerset, sampling, no_steal.describe());
+    result->probe_stats = run_serial(program, sampler.tool(), &no_steal);
+  }
+  result->k =
+      std::min<std::uint32_t>(result->probe_stats.max_sync_block, k_cap);
+  result->depth =
+      std::min<std::uint64_t>(result->probe_stats.max_spawn_depth, depth_cap);
   std::vector<std::unique_ptr<spec::StealSpec>> family;
   family.push_back(std::make_unique<spec::NoSteal>());
-  auto coverage = spec::full_coverage_family(k, depth);
+  auto coverage = spec::full_coverage_family(result->k, result->depth);
   family.reserve(1 + coverage.size());
   for (auto& steal_spec : coverage) family.push_back(std::move(steal_spec));
   return family;
@@ -109,22 +107,8 @@ Rader::ExhaustiveResult Rader::check_exhaustive(FnView program,
                                                 std::uint64_t depth_cap,
                                                 const SamplingConfig& sampling) {
   ExhaustiveResult result;
-
-  // Probe run: learn K and D (and find view-read races with Peer-Set).
-  {
-    prof::Phase probe("probe", metrics::Phase::kProbe);
-    PeerSetDetector peerset(&result.log);
-    spec::NoSteal no_steal;
-    auto sampler = maybe_sampler(&peerset, sampling, no_steal.describe());
-    result.probe_stats = run_serial(
-        program, sampler ? (Tool*)sampler.get() : &peerset, &no_steal);
-  }
-  result.k = std::min<std::uint32_t>(result.probe_stats.max_sync_block, k_cap);
-  result.depth =
-      std::min<std::uint64_t>(result.probe_stats.max_spawn_depth, depth_cap);
-
-  // No-steal spec + the O(KD + K³) family of Section 7.
-  const auto family = exhaustive_family(result.k, result.depth);
+  const auto family =
+      probe_family(program, k_cap, depth_cap, sampling, &result);
   for (const auto& steal_spec : family) {
     result.log.merge(check_determinacy(program, *steal_spec, sampling));
     ++result.spec_runs;
@@ -136,24 +120,10 @@ Rader::ExhaustiveResult Rader::check_exhaustive(
     const ProgramFactory& make_program, const SweepOptions& options,
     std::uint32_t k_cap, std::uint64_t depth_cap) {
   ExhaustiveResult result;
-
-  // Serial probe on the calling thread: learn K and D, catch view-read
-  // races with Peer-Set.
-  auto probe_program = make_program();
-  {
-    prof::Phase probe("probe", metrics::Phase::kProbe);
-    PeerSetDetector peerset(&result.log);
-    spec::NoSteal no_steal;
-    auto sampler =
-        maybe_sampler(&peerset, options.sampling, no_steal.describe());
-    result.probe_stats = run_serial(
-        probe_program, sampler ? (Tool*)sampler.get() : &peerset, &no_steal);
-  }
-  result.k = std::min<std::uint32_t>(result.probe_stats.max_sync_block, k_cap);
-  result.depth =
-      std::min<std::uint64_t>(result.probe_stats.max_spawn_depth, depth_cap);
-
-  const auto family = exhaustive_family(result.k, result.depth);
+  // The probe runs serially on the calling thread, on its own instance.
+  const auto probe_program = make_program();
+  const auto family = probe_family(probe_program, k_cap, depth_cap,
+                                   options.sampling, &result);
   if (options.stop_after_first_race && result.log.any()) {
     result.specs_skipped = family.size();
     return result;

@@ -125,19 +125,12 @@ SpecExecutor::RunOutcome SpecExecutor::run_rerun(std::size_t i,
   SpPlusDetector detector(out);
   // Sampling wraps each per-spec detector with a filter seeded from the
   // spec's describe() string — deterministic and jobs-invariant.
-  Tool* tool = &detector;
-  std::unique_ptr<SamplingTool> sampler;
-  if (options_.sampling.enabled) {
-    SamplingConfig cfg = options_.sampling;
-    cfg.seed = sampling_seed_for_spec(cfg.seed, family_[i]->describe());
-    sampler = std::make_unique<SamplingTool>(&detector, cfg);
-    tool = sampler.get();
-  }
+  SpecSampler sampler(&detector, options_.sampling, family_[i]->describe());
   prof::Phase spec_phase("spec");
   const std::uint64_t t0 = metrics::now_nanos();
   {
     prof::Phase detect_phase("detect", metrics::Phase::kExecute);
-    run_serial(program_, tool, family_[i].get());
+    run_serial(program_, sampler.tool(), family_[i].get());
   }
   return {true, metrics::now_nanos() - t0};
 }

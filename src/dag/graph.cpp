@@ -1,40 +1,6 @@
 #include "dag/graph.hpp"
 
-#include <algorithm>
-
-#include "runtime/api.hpp"
-#include "sched/parallel_engine.hpp"
-
 namespace rader::dag {
-namespace {
-
-std::vector<std::vector<StrandId>> successor_lists(const PerfDag& dag) {
-  std::vector<std::vector<StrandId>> succs(dag.size());
-  for (const auto& [a, b] : dag.edges) {
-    RADER_CHECK_MSG(a < b, "performance-dag edge violates serial order");
-    succs[a].push_back(b);
-  }
-  return succs;
-}
-
-/// Longest-path topological levels: nodes within one level share no edges,
-/// so their closure rows can be computed concurrently.
-std::vector<std::vector<StrandId>> level_groups(
-    const PerfDag& dag, const std::vector<std::vector<StrandId>>& succs) {
-  std::vector<std::uint32_t> level(dag.size(), 0);
-  std::uint32_t max_level = 0;
-  for (std::size_t u = 0; u < dag.size(); ++u) {
-    for (const StrandId v : succs[u]) {
-      level[v] = std::max(level[v], level[u] + 1);
-      max_level = std::max(max_level, level[v]);
-    }
-  }
-  std::vector<std::vector<StrandId>> groups(max_level + 1);
-  for (std::size_t u = 0; u < dag.size(); ++u) groups[level[u]].push_back(u);
-  return groups;
-}
-
-}  // namespace
 
 Reachability::Reachability(const PerfDag& dag) : n_(dag.size()) {
   desc_.assign(n_, StrandSet(n_));
@@ -45,47 +11,17 @@ Reachability::Reachability(const PerfDag& dag) : n_(dag.size()) {
   }
   // Strand IDs are a topological order: edges go from lower to higher IDs.
   // Descendants: sweep sinks-to-sources; ancestors: sources-to-sinks.
-  const auto succs = successor_lists(dag);
+  std::vector<std::vector<StrandId>> succs(n_);
+  for (const auto& [a, b] : dag.edges) {
+    RADER_CHECK_MSG(a < b, "performance-dag edge violates serial order");
+    succs[a].push_back(b);
+  }
   for (std::size_t u = n_; u-- > 0;) {
     for (const StrandId v : succs[u]) desc_[u] |= desc_[v];
   }
   for (std::size_t u = 0; u < n_; ++u) {
     for (const StrandId v : succs[u]) anc_[v] |= anc_[u];
   }
-}
-
-Reachability::Reachability(const PerfDag& dag, ParallelEngine& engine)
-    : n_(dag.size()) {
-  desc_.assign(n_, StrandSet(n_));
-  anc_.assign(n_, StrandSet(n_));
-  const auto succs = successor_lists(dag);
-  // Predecessor lists for the ancestor sweep.
-  std::vector<std::vector<StrandId>> preds(n_);
-  for (const auto& [a, b] : dag.edges) preds[b].push_back(a);
-  const auto groups = level_groups(dag, succs);
-
-  engine.run([&] {
-    // Descendants: levels from deepest to shallowest; rows within a level
-    // are independent (no edges inside a level).
-    for (std::size_t lv = groups.size(); lv-- > 0;) {
-      const auto& group = groups[lv];
-      parallel_for<std::size_t>(0, group.size(), [&](std::size_t i) {
-        const StrandId u = group[i];
-        desc_[u].set(u);
-        for (const StrandId v : succs[u]) desc_[u] |= desc_[v];
-      });
-      sync();
-    }
-    // Ancestors: shallow to deep.
-    for (const auto& group : groups) {
-      parallel_for<std::size_t>(0, group.size(), [&](std::size_t i) {
-        const StrandId v = group[i];
-        anc_[v].set(v);
-        for (const StrandId u : preds[v]) anc_[v] |= anc_[u];
-      });
-      sync();
-    }
-  });
 }
 
 bool Reachability::same_peers(StrandId u, StrandId v) const {

@@ -19,10 +19,6 @@
 #include "runtime/types.hpp"
 #include "support/common.hpp"
 
-namespace rader {
-class ParallelEngine;
-}  // namespace rader
-
 namespace rader::dag {
 
 struct Strand {
@@ -119,10 +115,6 @@ class StrandSet {
 class Reachability {
  public:
   explicit Reachability(const PerfDag& dag);
-
-  /// Parallel construction on the work-stealing engine (identical result):
-  /// bitset rows of each topological level are computed with parallel_for.
-  Reachability(const PerfDag& dag, ParallelEngine& engine);
 
   /// u strictly precedes v (u ≺ v): a path exists from u to v.
   bool precedes(StrandId u, StrandId v) const {

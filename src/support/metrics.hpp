@@ -23,7 +23,7 @@
 //
 // Naming: every metric has a canonical dotted name in one of four stable
 // namespaces — `sweep.*` (the spec-family sweep), `engine.*` (serial +
-// parallel execution engines), `detector.*` (the four detectors and their
+// parallel execution engines), `detector.*` (the three detectors and their
 // substrates), `shadow.*` (shadow memory).  These names are the public
 // exposition surface: the JSON report's "metrics" block, the Prometheus
 // text format (core/metrics_export.hpp, dots become underscores there), and

@@ -48,10 +48,13 @@ SamplingTool::SamplingTool(std::unique_ptr<Tool> owned,
   owned_ = std::move(owned);
 }
 
-std::unique_ptr<SamplingTool> SamplingTool::adopt(std::unique_ptr<Tool> inner,
-                                                  const SamplingConfig& config) {
-  return std::unique_ptr<SamplingTool>(
-      new SamplingTool(std::move(inner), config));
+SpecSampler::SpecSampler(Tool* detector, const SamplingConfig& config,
+                         std::string_view spec_describe)
+    : detector_(detector) {
+  if (!config.enabled) return;
+  SamplingConfig cfg = config;
+  cfg.seed = sampling_seed_for_spec(cfg.seed, spec_describe);
+  sampler_ = std::make_unique<SamplingTool>(detector, cfg);
 }
 
 bool SamplingTool::sampled(std::uintptr_t b) const {

@@ -9,7 +9,7 @@
 // still reported exactly, and expected detector work shrinks to O(P x
 // footprint) while non-access events stay exact.
 //
-// SamplingTool wraps any inner Tool (all four detectors — they all speak
+// SamplingTool wraps any inner Tool (all three detectors — they all speak
 // the same callback vocabulary) and filters ONLY the data plane:
 //
 //   * on_access       — split into maximal runs of consecutive SAMPLED
@@ -71,14 +71,10 @@ std::uint64_t sampling_seed_for_spec(std::uint64_t seed,
                                      std::string_view spec_describe);
 
 /// Per-granule Bernoulli filter in front of an inner detector; see the
-/// file comment.  The inner tool is borrowed unless adopt() was used.
+/// file comment.  The inner tool is borrowed, except in a fork().
 class SamplingTool final : public Tool {
  public:
   SamplingTool(Tool* inner, const SamplingConfig& config);
-
-  /// Take ownership of `inner` (the sweep's per-spec wiring).
-  static std::unique_ptr<SamplingTool> adopt(std::unique_ptr<Tool> inner,
-                                             const SamplingConfig& config);
 
   /// True iff sampling block `b` (byte address >> block_bits) is in the
   /// sampled set.
@@ -117,11 +113,26 @@ class SamplingTool final : public Tool {
   SamplingTool(std::unique_ptr<Tool> owned, const SamplingConfig& config);
 
   Tool* inner_;                    // the wrapped detector (maybe owned_)
-  std::unique_ptr<Tool> owned_;    // set when adopted / forked
+  std::unique_ptr<Tool> owned_;    // set when forked
   std::uint64_t threshold_;        // sampled iff mix64(b ^ seed) < threshold_
   std::uint64_t seed_;
   unsigned block_bits_;
   bool all_;                       // P >= 1: forward verbatim
+};
+
+/// The tool one run under a steal spec feeds: `detector` itself, or, when
+/// `config` is enabled, a SamplingTool over it seeded for that spec
+/// (sampling_seed_for_spec).
+class SpecSampler {
+ public:
+  SpecSampler(Tool* detector, const SamplingConfig& config,
+              std::string_view spec_describe);
+
+  Tool* tool() { return sampler_ ? sampler_.get() : detector_; }
+
+ private:
+  Tool* detector_;
+  std::unique_ptr<SamplingTool> sampler_;
 };
 
 }  // namespace rader

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/sporder.hpp"
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
 
@@ -59,12 +58,6 @@ TEST(ScheduleDependentBug, InvisibleToEverySerialScheduleChecker) {
   spec::NoSteal none;
   EXPECT_FALSE(Rader::check_determinacy(prog, none).any());
   EXPECT_FALSE(Rader::check_spbags(prog).any());
-  {
-    RaceLog log;
-    SpOrderDetector detector(&log);
-    run_serial(prog, &detector, &none);
-    EXPECT_FALSE(log.any());
-  }
   EXPECT_FALSE(Rader::check_view_read(prog).any());
 }
 

@@ -147,5 +147,37 @@ TEST(SpBags, GrandchildJoinedByInnerSyncStillParallelToUncle) {
   EXPECT_TRUE(log.any());
 }
 
+TEST(SpBags, SameStrandRepeatedAccessesAreFine) {
+  int x = 0;
+  const RaceLog log = Rader::check_spbags([&] {
+    shadow_write(&x, 4);
+    shadow_write(&x, 4);
+    shadow_read(&x, 4);
+    spawn([] {});
+    sync();
+    shadow_write(&x, 4);
+    shadow_write(&x, 4);
+  });
+  EXPECT_FALSE(log.any());
+}
+
+TEST(SpBags, SeparatedSiblingSubtreesDeepRace) {
+  // Each access sits below a called child of a different spawned sibling.
+  int x = 0;
+  const RaceLog log = Rader::check_spbags([&] {
+    spawn([&] {
+      call([&] {
+        spawn([&] { shadow_write(&x, 4); });
+        sync();
+      });
+    });
+    spawn([&] {
+      call([&] { shadow_read(&x, 4); });
+    });
+    sync();
+  });
+  EXPECT_TRUE(log.any());
+}
+
 }  // namespace
 }  // namespace rader

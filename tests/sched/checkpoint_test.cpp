@@ -7,7 +7,7 @@
 //      detector, produces a run byte-identical to the straight-line
 //      execution — same race log, same stats, same reducer-view identity
 //      minting, same simulated-worker stamping under tracing.
-//   2. fork() gives every detector (SP-bags, SP-order, SP+, Peer-Set) and
+//   2. fork() gives every detector (SP-bags, SP+, Peer-Set) and
 //      the copy-on-write PackedShadow an INDEPENDENT clone: events fed to
 //      one side never leak into the other.
 //
@@ -24,7 +24,6 @@
 #include "core/peerset.hpp"
 #include "core/spbags.hpp"
 #include "core/spplus.hpp"
-#include "core/sporder.hpp"
 #include "reducers/monoid.hpp"
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
@@ -83,10 +82,6 @@ std::vector<NamedFactory> detector_factories() {
       {"spbags",
        [](RaceLog* log) -> std::unique_ptr<Tool> {
          return std::make_unique<SpBagsDetector>(log);
-       }},
-      {"sporder",
-       [](RaceLog* log) -> std::unique_ptr<Tool> {
-         return std::make_unique<SpOrderDetector>(log);
        }},
       {"peerset",
        [](RaceLog* log) -> std::unique_ptr<Tool> {

@@ -44,6 +44,12 @@ TEST(ParallelEngine, ActuallyRunsInParallel) {
   ParallelEngine engine(4);
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};
+  // Each task holds its slot until some sibling has overlapped with a
+  // running task, so the overlap does not depend on how fast a woken helper
+  // gets a core.  The deadline only bounds a run in which no helper ever
+  // runs a task: that run still fails below.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   engine.run([&] {
     for (int i = 0; i < 16; ++i) {
       spawn([&] {
@@ -51,9 +57,9 @@ TEST(ParallelEngine, ActuallyRunsInParallel) {
         int seen = peak.load();
         while (seen < now && !peak.compare_exchange_weak(seen, now)) {
         }
-        // Hold the slot briefly so siblings can overlap.
-        for (int spin = 0; spin < 200000; ++spin) {
-          asm volatile("" ::: "memory");
+        while (peak.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
         }
         concurrent.fetch_sub(1);
       });

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -48,16 +47,7 @@ int program_count() {
 
 /// The golden rows of one kind ("sweep" or "driver"), in file order.
 std::vector<GoldenRow> golden_rows(const std::string& kind) {
-  std::ifstream in(RADER_SHADOW_GOLDEN);
-  EXPECT_TRUE(in.good()) << "cannot open " << RADER_SHADOW_GOLDEN;
-  std::vector<GoldenRow> rows;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] == '#') continue;
-    GoldenRow row;
-    EXPECT_TRUE(golden::parse_row(line, &row)) << "malformed: " << line;
-    if (row.kind == kind) rows.push_back(row);
-  }
-  return rows;
+  return golden::read_rows(RADER_SHADOW_GOLDEN, kind);
 }
 
 /// A run's row and the normalized log it digests (printed on mismatch).

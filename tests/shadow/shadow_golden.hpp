@@ -1,8 +1,10 @@
-// The shadow golden battery's corpus, normalizer and golden-file codec.
+// The golden batteries' corpus, normalizer and golden-file codec: the
+// shadow battery's, shared by the SP-bags battery
+// (tests/core/spbags_golden_test.cpp).
 //
-// The battery (shadow_equivalence_test.cpp) holds the production shadow to
-// frozen output: every seeded program below was swept once under the
-// original paired-map shadow, and tests/shadow/golden/shadow_sweep.golden
+// The shadow battery (shadow_equivalence_test.cpp) holds the production
+// shadow to frozen output: every seeded program below was swept once under
+// the original paired-map shadow, and tests/shadow/golden/shadow_sweep.golden
 // records, per seed, the spec accounting, the verdict and a digest of the
 // merged RaceLog::to_json().  The programs are the ones byte-identity
 // requires (tests/core/sweep_equivalence_test.cpp has the rules):
@@ -13,10 +15,13 @@
 // offset into g_pool.  The same normalizer produced the golden file.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,6 +189,22 @@ inline bool parse_row(const std::string& line, GoldenRow* row) {
   row->kind = kind;
   row->any_race = any != 0;
   return true;
+}
+
+/// The rows of kind `kind` in the golden file at `path`, in file order;
+/// an unreadable file or a malformed line fails the calling test.
+inline std::vector<GoldenRow> read_rows(const char* path,
+                                        const std::string& kind) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::vector<GoldenRow> rows;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    GoldenRow row;
+    EXPECT_TRUE(parse_row(line, &row)) << "malformed: " << line;
+    if (row.kind == kind) rows.push_back(row);
+  }
+  return rows;
 }
 
 }  // namespace rader::golden

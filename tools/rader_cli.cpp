@@ -18,7 +18,6 @@
 //   ALGO: peerset     view-read races (Peer-Set, Section 3)
 //         sp+         determinacy races under --spec (SP+, Section 5)
 //         spbags      reducer-oblivious SP-bags baseline [Feng–Leiserson]
-//         sporder     reducer-oblivious SP-order baseline [Bender et al.]
 //         exhaustive  Peer-Set + SP+ over the O(KD + K^3) family (Section 7)
 //   SPEC: none | all | triple:A,B,C | depth:D | random:SEED,K | bern:SEED,P
 //
@@ -97,7 +96,6 @@
 #include "core/metrics_export.hpp"
 #include "core/provenance.hpp"
 #include "core/report_json.hpp"
-#include "core/sporder.hpp"
 #include "core/trace_export.hpp"
 #include "dag/program_serial.hpp"
 #include "fuzz/differ.hpp"
@@ -182,7 +180,7 @@ double parse_real(const std::string& flag, const std::string& text) {
       "       rader --repro=FILE [--format=text|json]\n"
       "       rader --list-metrics\n"
       "  NAME: collision|dedup|ferret|fib|knapsack|pbfs|fig1\n"
-      "  ALGO: peerset|sp+|spbags|sporder|exhaustive\n"
+      "  ALGO: peerset|sp+|spbags|exhaustive\n"
       "  SPEC: none|all|triple:A,B,C|depth:D|random:SEED,K|bern:SEED,P\n"
       "  ENGINE: serial (default) or parallel — peerset only; runs the\n"
       "          program on --jobs work-stealing workers with on-the-fly\n"
@@ -557,18 +555,6 @@ int main(int argc, char** argv) {
                                    sweep.sampling);
   } else if (algo == "spbags") {
     log = Rader::check_spbags([&] { program(); }, sweep.sampling);
-  } else if (algo == "sporder") {
-    SpOrderDetector detector(&log);
-    spec::NoSteal none;
-    Tool* tool = &detector;
-    std::unique_ptr<SamplingTool> sampler;
-    if (sweep.sampling.enabled) {
-      SamplingConfig cfg = sweep.sampling;
-      cfg.seed = sampling_seed_for_spec(cfg.seed, none.describe());
-      sampler = std::make_unique<SamplingTool>(&detector, cfg);
-      tool = sampler.get();
-    }
-    run_serial([&] { program(); }, tool, &none);
   } else if (algo == "exhaustive") {
     // The sweep shards specs across workers, and each worker must check its
     // own instance of the program — hand the driver a factory, not the
