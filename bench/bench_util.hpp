@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/spplus.hpp"
 #include "runtime/serial_engine.hpp"
 #include "spec/steal_spec.hpp"
+#include "support/common.hpp"
 #include "support/metrics.hpp"
 #include "tool/tool.hpp"
 
@@ -42,9 +44,24 @@ struct Row {
   SerialEngine::Stats reduce_probe;  // stats under the check-reductions spec
 };
 
+/// Run `fn` `reps` times and return the *minimum* wall-clock seconds of a
+/// single run.  Minimum-of-N is the standard noise-robust estimator for
+/// deterministic CPU-bound workloads.
+inline double time_best_of(int reps, const std::function<void()>& fn) {
+  RADER_CHECK(reps > 0);
+  double best = 0.0;
+  for (int i = 0; i < reps; ++i) {
+    metrics::Stopwatch t;
+    fn();
+    const double s = t.seconds();
+    best = (i == 0) ? s : std::min(best, s);
+  }
+  return best;
+}
+
 inline double time_config(apps::Workload& w, Tool* tool,
                           const spec::StealSpec* steal_spec, int reps) {
-  return metrics::time_best_of(reps, [&] {
+  return time_best_of(reps, [&] {
     SerialEngine engine(tool, steal_spec);
     engine.run([&] { w.run(); });
   });

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_util.hpp"
 #include "core/peerset.hpp"
 #include "core/spplus.hpp"
 #include "reducers/monoid.hpp"
@@ -58,7 +59,7 @@ void workload(int blocks, int width, int work) {
 
 double run_with(rader::Tool* tool, const rader::spec::StealSpec* steal_spec,
                 int blocks, int width, int work) {
-  return rader::metrics::time_best_of(3, [&] {
+  return rader::bench::time_best_of(3, [&] {
     rader::SerialEngine engine(tool, steal_spec);
     engine.run([&] { workload(blocks, width, work); });
   });

@@ -195,7 +195,7 @@ double time_checkpoint_sweep(std::size_t granules, int specs,
   for (std::size_t i = 0; i < granules; ++i) {
     detector_shaped_op(base, kBase + i, static_cast<std::uint32_t>(i));
   }
-  return rader::metrics::time_best_of(reps, [&] {
+  return rader::bench::time_best_of(reps, [&] {
     std::uint32_t id = 1;
     for (int s = 0; s < specs; ++s) {
       Shadow fork = base.fork();
@@ -217,7 +217,7 @@ constexpr std::uintptr_t kStride = 4099;
 
 template <class Shadow>
 double time_shadow_sweep(std::size_t granules, int passes, int reps) {
-  return rader::metrics::time_best_of(reps, [&] {
+  return rader::bench::time_best_of(reps, [&] {
     Shadow s;
     const std::uintptr_t mask = granules - 1;  // granules is a power of two
     std::uint32_t id = 1;
@@ -261,7 +261,7 @@ struct ComputeKernel {
 template <typename Fn>
 double time_tool(Fn&& body, Tool* tool, int reps) {
   rader::spec::NoSteal none;
-  return rader::metrics::time_best_of(reps, [&] {
+  return rader::bench::time_best_of(reps, [&] {
     SerialEngine engine(tool, &none);
     engine.run([&] { body(); });
   });

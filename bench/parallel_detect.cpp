@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                   "-", "-");
       continue;
     }
-    const double t = rader::metrics::time_best_of(reps, [&] {
+    const double t = rader::bench::time_best_of(reps, [&] {
       const rader::RaceLog log = rader::Rader::check_parallel(
           [&] { fanout_program(leaf_iters); }, workers);
       if (log.view_read_count() != 0) {

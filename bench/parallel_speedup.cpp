@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   std::printf("   verified\n");
 
   for (auto& w : rader::apps::make_paper_benchmarks(scale)) {
-    const double t_serial = rader::metrics::time_best_of(reps, [&] { w.run(); });
+    const double t_serial = rader::bench::time_best_of(reps, [&] { w.run(); });
     std::printf("%-10s %10.3f", w.name.c_str(), t_serial);
     bool ok = w.verify();
     for (unsigned workers = 2; workers <= max_workers; workers *= 2) {
       rader::ParallelEngine engine(workers);
-      const double t = rader::metrics::time_best_of(reps, [&] {
+      const double t = rader::bench::time_best_of(reps, [&] {
         engine.run([&] { w.run(); });
       });
       ok = ok && w.verify();

@@ -110,7 +110,8 @@ int main() {
               static_cast<unsigned long long>(spplus.determinacy_count()));
   std::printf("%s", spplus.to_string().c_str());
 
-  const auto exhaustive = rader::Rader::check_exhaustive(program);
+  const auto exhaustive =
+      rader::Rader::check_exhaustive(rader::shared_program(program));
   std::printf(
       "\nexhaustive (Section 7): %llu SP+ runs over K=%u, D=%llu -> "
       "%llu distinct racing location(s)\n",

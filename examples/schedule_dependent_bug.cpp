@@ -94,7 +94,8 @@ int main() {
               static_cast<unsigned long long>(serial.determinacy_count()),
               serial.any() ? "" : "<- the racy instruction never executed");
 
-  const auto exhaustive = rader::Rader::check_exhaustive([] { program(); });
+  const auto exhaustive =
+      rader::Rader::check_exhaustive(rader::shared_program([] { program(); }));
   std::printf("exhaustive (Section 7, %llu SP+ runs): %llu race(s)\n",
               static_cast<unsigned long long>(exhaustive.spec_runs),
               static_cast<unsigned long long>(

@@ -4,13 +4,14 @@
 #   scripts/check.sh          fast gate: build, fast-label tests, benchmark
 #                             self-test, 60 s fuzz
 #   scripts/check.sh --full   everything: all test labels (fast + slow +
-#                             stress), examples, bench smoke
+#                             stress), bench smoke
 #   scripts/check.sh --trace  build + the trace smoke only (exports a
 #                             Chrome trace and validates it with python3)
 #   scripts/check.sh --fuzz   build + the fuzz smoke only (60 s differential
 #                             fuzz with shrinking artifacts on divergence)
 #
 # Test labels (set in tests/CMakeLists.txt): `ctest -L fast|slow|stress`.
+# The examples run as ctest tests `example.<name>` (label fast).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -258,14 +259,6 @@ trace_smoke
 fuzz_smoke
 
 if [[ "$FULL" == 1 ]]; then
-  echo "== examples =="
-  ./build/examples/quickstart
-  ./build/examples/view_read_race
-  ./build/examples/fig1_list_race
-  ./build/examples/schedule_dependent_bug
-  ./build/examples/wordcount >/dev/null && echo "wordcount ok"
-  ./build/examples/pbfs_demo 5000 30000
-
   echo "== bench smoke =="
   ./build/bench/thm6_update_coverage
   ./build/bench/thm7_reduce_coverage

@@ -6,8 +6,6 @@
 //   * check_determinacy    — one SP+ run under a given steal specification
 //                            detects every determinacy race of that fixed
 //                            execution (Section 6).
-//   * check_with_family    — run SP+ under a family of specifications,
-//                            merging reports.
 //   * check_exhaustive     — the Section 7 recipe for ostensibly
 //                            deterministic programs: probe the program once
 //                            to learn K (max sync-block size) and D (max
@@ -16,6 +14,10 @@
 //                            every possible view-aware strand is elicited
 //                            and every determinacy race involving a
 //                            view-oblivious strand is found.
+//
+// Running SP+ under a caller's own family of specifications, merging the
+// reports, is sweep_family (core/sweep.hpp), which check_exhaustive uses
+// too.
 //
 // The program under test is a callable run (possibly) many times; it must
 // reset any state it mutates (the workload wrappers in src/apps do).
@@ -63,22 +65,6 @@ class Rader {
   static RaceLog check_spbags(FnView program,
                               const SamplingConfig& sampling = {});
 
-  /// SP+ under every spec in `family`, merging the reports through the
-  /// dedup layer (one report per race, carrying its eliciting specs).
-  static RaceLog check_with_family(
-      FnView program,
-      const std::vector<std::unique_ptr<spec::StealSpec>>& family,
-      const SamplingConfig& sampling = {});
-
-  /// Parallel sweep variant: shards `family` across `options.threads`
-  /// workers (core/sweep.hpp).  Each worker materializes its own program
-  /// instance from `make_program`; the merged log is identical to the
-  /// serial overload's for every thread count.
-  static SweepResult check_with_family(
-      const ProgramFactory& make_program,
-      const std::vector<std::unique_ptr<spec::StealSpec>>& family,
-      const SweepOptions& options);
-
   struct ExhaustiveResult {
     RaceLog log;
     SerialEngine::Stats probe_stats;  // from the no-steal probe run
@@ -91,20 +77,15 @@ class Rader {
     std::vector<SweepFailure> failures;
   };
 
-  /// Full Section-7 coverage: Peer-Set once + SP+ across the O(KD + K³)
-  /// family.  `k_cap` / `depth_cap` bound the family for large programs
-  /// (the guarantee then holds for sync blocks / depths within the caps).
-  static ExhaustiveResult check_exhaustive(FnView program,
-                                           std::uint32_t k_cap = 16,
-                                           std::uint64_t depth_cap = 64,
-                                           const SamplingConfig& sampling = {});
-
-  /// Parallel Section-7 coverage: the Peer-Set probe runs serially on one
-  /// instance from `make_program`, then the O(KD + K³) family is swept in
-  /// parallel per `options`.  With options.stop_after_first_race, a racy
-  /// probe skips the family sweep entirely.
+  /// Full Section-7 coverage: the Peer-Set probe runs serially on one
+  /// instance from `make_program`, then SP+ sweeps the O(KD + K³) family
+  /// per `options` (sweep_family).  `k_cap` / `depth_cap` bound the family
+  /// for large programs (the guarantee then holds for sync blocks / depths
+  /// within the caps).  With options.stop_after_first_race, a racy probe
+  /// skips the family sweep entirely.  A single program that is safe to
+  /// share comes in as shared_program(program).
   static ExhaustiveResult check_exhaustive(const ProgramFactory& make_program,
-                                           const SweepOptions& options,
+                                           const SweepOptions& options = {},
                                            std::uint32_t k_cap = 16,
                                            std::uint64_t depth_cap = 64);
 };

@@ -5,19 +5,6 @@
 
 namespace rader {
 
-std::unique_ptr<Tool> PeerSetDetector::fork(RaceLog* log) const {
-  auto copy = std::make_unique<PeerSetDetector>(log);
-  copy->ds_ = ds_;
-  copy->stack_ = stack_;
-  for (auto& f : copy->stack_) {
-    f.ss.rebind(&copy->ds_);
-    f.sp.rebind(&copy->ds_);
-    f.p.rebind(&copy->ds_);
-  }
-  copy->reader_ = reader_;  // flat vector of (node, count, label) records
-  return copy;
-}
-
 void PeerSetDetector::on_run_begin() {
   ds_.clear();
   stack_.clear();

@@ -45,10 +45,6 @@ class PeerSetDetector final : public Tool {
   void on_sync(FrameId frame) override;
   void on_reducer_op(ReducerOp op, ReducerId h, SrcTag tag) override;
 
-  /// Deep clone of the detection state (bags, DSU forest, reducer shadow),
-  /// reporting into `log`.
-  std::unique_ptr<Tool> fork(RaceLog* log) const override;
-
  private:
   struct FrameState {
     dsu::Node node = dsu::kInvalidNode;

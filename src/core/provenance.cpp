@@ -12,6 +12,7 @@
 #include "dag/recorder.hpp"
 #include "runtime/serial_engine.hpp"
 #include "spec/steal_spec.hpp"
+#include "support/json.hpp"
 #include "tool/tool.hpp"
 
 namespace rader {
@@ -136,25 +137,6 @@ const char* frame_kind_name(FrameKind k) {
   return "?";
 }
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Everything a provenance record is rendered from.
 struct Record {
   std::string spec;
@@ -259,7 +241,7 @@ bool build_record(const ProvenanceRecorder& rec, FrameId prior,
 std::string record_json(const Record& r) {
   std::ostringstream os;
   os << "{\"spec\":";
-  append_escaped(os, r.spec);
+  os << json_quoted(r.spec);
   os << ",\"lca_frame\":" << r.lca << ",\"lca_kind\":\""
      << frame_kind_name(r.lca_kind) << '"';
   auto path = [&os](const char* key, const std::vector<FrameId>& p) {
@@ -294,7 +276,7 @@ std::string record_json(const Record& r) {
   if (r.has_identity) {
     os << ",\"create_identity\":{\"frame\":" << r.identity.frame
        << ",\"reducer\":" << r.identity.reducer << ",\"label\":";
-    append_escaped(os, r.identity.label);
+    os << json_quoted(r.identity.label);
     os << '}';
   }
   if (!r.oracle.empty()) os << ",\"oracle\":\"" << r.oracle << '"';

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/common.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -199,31 +200,12 @@ std::string RaceLog::to_string() const {
 
 namespace {
 
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void append_json_specs(std::ostringstream& os,
                        const std::vector<std::string>& specs) {
   os << ",\"eliciting_specs\":[";
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (i != 0) os << ',';
-    append_json_escaped(os, specs[i]);
+    os << json_quoted(specs[i]);
   }
   os << ']';
 }
@@ -241,18 +223,18 @@ std::string RaceLog::to_json() const {
     os << "{\"reducer\":" << r.reducer << ",\"prior_frame\":" << r.prior_frame
        << ",\"current_frame\":" << r.current_frame
        << ",\"occurrences\":" << r.occurrences << ",\"prior_label\":";
-    append_json_escaped(os, r.prior_label);
+    os << json_quoted(r.prior_label);
     os << ",\"current_label\":";
-    append_json_escaped(os, r.current_label);
+    os << json_quoted(r.current_label);
     os << ",\"found_under\":";
-    append_json_escaped(os, r.found_under);
+    os << json_quoted(r.found_under);
     append_json_specs(os, r.eliciting_specs);
     if (!r.provenance_json.empty()) {
       os << ",\"provenance\":" << r.provenance_json;
     }
     if (!r.repro_file.empty()) {
       os << ",\"repro_file\":";
-      append_json_escaped(os, r.repro_file);
+      os << json_quoted(r.repro_file);
     }
     os << '}';
   }
@@ -267,16 +249,16 @@ std::string RaceLog::to_json() const {
        << ",\"prior_frame\":" << r.prior_frame
        << ",\"current_frame\":" << r.current_frame
        << ",\"occurrences\":" << r.occurrences << ",\"label\":";
-    append_json_escaped(os, r.current_label);
+    os << json_quoted(r.current_label);
     os << ",\"found_under\":";
-    append_json_escaped(os, r.found_under);
+    os << json_quoted(r.found_under);
     append_json_specs(os, r.eliciting_specs);
     if (!r.provenance_json.empty()) {
       os << ",\"provenance\":" << r.provenance_json;
     }
     if (!r.repro_file.empty()) {
       os << ",\"repro_file\":";
-      append_json_escaped(os, r.repro_file);
+      os << json_quoted(r.repro_file);
     }
     os << '}';
   }

@@ -4,18 +4,6 @@
 
 namespace rader {
 
-std::unique_ptr<Tool> SpBagsDetector::fork(RaceLog* log) const {
-  auto copy = std::make_unique<SpBagsDetector>(log, granule_bits_);
-  copy->ds_ = ds_;
-  copy->stack_ = stack_;
-  for (auto& f : copy->stack_) {
-    f.s.rebind(&copy->ds_);
-    f.p.rebind(&copy->ds_);
-  }
-  copy->shadow_ = shadow_.fork();
-  return copy;
-}
-
 void SpBagsDetector::on_run_begin() {
   RADER_CHECK_MSG(granule_bits_ < 12, "granule_bits must be < 12");
   ds_.clear();

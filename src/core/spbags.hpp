@@ -45,10 +45,6 @@ class SpBagsDetector final : public Tool {
                  bool view_aware, ViewId vid, SrcTag tag) override;
   void on_clear(std::uintptr_t addr, std::size_t size) override;
 
-  /// Deep clone of the detection state (bags, DSU forest, shadow spaces —
-  /// the latter shared copy-on-write), reporting into `log`.
-  std::unique_ptr<Tool> fork(RaceLog* log) const override;
-
  private:
   struct FrameState {
     dsu::Node node = dsu::kInvalidNode;

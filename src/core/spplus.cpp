@@ -4,7 +4,7 @@
 
 namespace rader {
 
-std::unique_ptr<Tool> SpPlusDetector::fork(RaceLog* log) const {
+std::unique_ptr<SpPlusDetector> SpPlusDetector::fork(RaceLog* log) const {
   auto copy = std::make_unique<SpPlusDetector>(log, granule_bits_);
   copy->ds_ = ds_;
   copy->stack_ = stack_;

@@ -29,6 +29,7 @@
 // (Theorem 5), and is exact for the given execution.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/race_report.hpp"
@@ -57,9 +58,14 @@ class SpPlusDetector final : public Tool {
                  bool view_aware, ViewId vid, SrcTag tag) override;
   void on_clear(std::uintptr_t addr, std::size_t size) override;
 
-  /// Deep clone of the detection state (bags, DSU forest, shadow spaces —
-  /// the latter shared copy-on-write), reporting into `log`.
-  std::unique_ptr<Tool> fork(RaceLog* log) const override;
+  /// Deep-copy the detection state mid-run (bags, DSU forest, shadow
+  /// space), wiring the clone's reports to `log` (may be nullptr for a
+  /// frozen snapshot that is only ever re-forked, never fed events).
+  /// Mutating either side after the fork never affects the other: forks
+  /// share shadow pages copy-on-write (shadow::AccessShadow::fork, over
+  /// PackedShadow::fork) but nothing mutable.  This is the detector half
+  /// of the prefix-sharing sweep's checkpoints (core/sweep.hpp).
+  std::unique_ptr<SpPlusDetector> fork(RaceLog* log) const;
 
  private:
   struct FrameState {

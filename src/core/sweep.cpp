@@ -15,7 +15,6 @@
 #include "core/metrics_export.hpp"
 #include "core/spplus.hpp"
 #include "core/sweep_internal.hpp"
-#include "runtime/run.hpp"
 #include "runtime/serial_engine.hpp"
 #include "runtime/view_arena.hpp"
 #include "support/common.hpp"
@@ -70,7 +69,8 @@ SpecExecutor::SpecExecutor(
       // granule set (per-spec seed), so a resumed checkpoint would mix two
       // sample sets.
       prefix_(options.strategy == SweepStrategy::kPrefix &&
-              !options.sampling.enabled) {}
+              !options.sampling.enabled),
+      checkpointing_(prefix_) {}
 
 SpecExecutor::~SpecExecutor() { drop_checkpoints(0); }
 
@@ -94,8 +94,6 @@ void SpecExecutor::on_point(std::size_t idx, const spec::PointCtx& ctx) {
   PrefixCheckpoint ck;
   eng_->capture(&ck.engine);
   ck.tool = cur_tool_->fork(nullptr);
-  RADER_CHECK_MSG(ck.tool != nullptr,
-                  "prefix sweep requires a forkable detector");
   ck.log = *cur_out_;
   ckpts_.push_back(std::move(ck));
   metrics::bump(metrics::Counter::kSweepCheckpoints);
@@ -115,30 +113,9 @@ void SpecExecutor::drop_checkpoints(std::size_t keep) {
 SpecExecutor::RunOutcome SpecExecutor::run(std::size_t i, RaceLog* out) {
   faultpoint::fire(faultpoint::kSiteSweepSpec,
                    static_cast<std::uint64_t>(i));
-  return prefix_ ? run_prefix(i, out) : run_rerun(i, out);
-}
-
-SpecExecutor::RunOutcome SpecExecutor::run_rerun(std::size_t i,
-                                                 RaceLog* out) {
-  if (!program_) program_ = make_program_();
-  *out = RaceLog();
-  SpPlusDetector detector(out);
-  // Sampling wraps each per-spec detector with a filter seeded from the
-  // spec's describe() string — deterministic and jobs-invariant.
-  SpecSampler sampler(&detector, options_.sampling, family_[i]->describe());
-  prof::Phase spec_phase("spec");
-  const std::uint64_t t0 = metrics::now_nanos();
-  {
-    prof::Phase detect_phase("detect", metrics::Phase::kExecute);
-    run_serial(program_, sampler.tool(), family_[i].get());
-  }
-  return {true, metrics::now_nanos() - t0};
-}
-
-SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
-                                                  RaceLog* out) {
   if (!program_) program_ = make_program_();
   prof::Phase spec_phase("spec");
+  // Only a prefix executor keeps its last run (has_last_).
   const std::size_t d = has_last_ ? divergence_depth(*family_[i], trail_) : 0;
   if (has_last_) {
     metrics::record(metrics::Histogram::kDivergenceDepth, d);
@@ -171,7 +148,7 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
     PrefixCheckpoint& ck = ckpts_.back();
     trail_.resize(d);
     *out = ck.log;
-    std::unique_ptr<Tool> detector = ck.tool->fork(out);
+    std::unique_ptr<SpPlusDetector> detector = ck.tool->fork(out);
     metrics::bump(metrics::Counter::kSweepForks);
     SerialEngine engine(detector.get(), family_[i].get());
     eng_ = &engine;
@@ -199,7 +176,7 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
       // Correctness is preserved — only the speedup is lost — and the
       // fallback is visible as kSweepResumeFallbacks in rader.report.
       metrics::bump(metrics::Counter::kSweepResumeFallbacks);
-      resumable_ = false;
+      checkpointing_ = false;
       drop_checkpoints(0);
       *out = RaceLog();
       program_ = make_program_();
@@ -207,24 +184,30 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
     }
   }
   if (fresh) {
-    // No shared prefix survives (first member, no checkpoint at or before
-    // the divergence because this worker did not run the member that
-    // placed it, or a program that cannot resume): fresh run.
+    // No shared prefix survives (every rerun member; the first prefix
+    // member; no checkpoint at or before the divergence because this worker
+    // did not run the member that placed it; or a program that cannot
+    // resume): fresh run.  Sampling (rerun only) wraps the detector with a
+    // filter seeded from the spec's describe() string — deterministic and
+    // jobs-invariant.
     trail_.clear();
     SpPlusDetector detector(out);
-    SerialEngine engine(&detector, family_[i].get());
+    SpecSampler sampler(&detector, options_.sampling, family_[i]->describe());
+    SerialEngine engine(sampler.tool(), family_[i].get());
     eng_ = &engine;
     cur_tool_ = &detector;
-    engine.set_decision_trail(&trail_);
-    if (resumable_) engine.set_point_hook(hook);
+    if (prefix_) engine.set_decision_trail(&trail_);
+    if (checkpointing_) engine.set_point_hook(hook);
     prof::Phase detect_phase("detect", metrics::Phase::kExecute);
     engine.run(program_);
   }
   const std::uint64_t nanos = metrics::now_nanos() - t0;
-  // The dedup shortcut needs the log as the run produced it, BEFORE
-  // stamp_found_under seeds found_under/eliciting_specs.
-  last_log_ = *out;
-  has_last_ = true;
+  if (prefix_) {
+    // The dedup shortcut needs the log as the run produced it, BEFORE
+    // stamp_found_under seeds found_under/eliciting_specs.
+    last_log_ = *out;
+    has_last_ = true;
+  }
   return {true, nanos};
 }
 
@@ -468,14 +451,6 @@ void run_threads(SweepScheduler& sched, const ProgramFactory& make_program) {
   // ("sweep-wN") — one Chrome-trace process per worker.
   obs::Fanout sinks(obs::current(), sched.slots, "sweep-w");
   std::atomic<std::size_t> next{0};
-  // Prefix workers claim ascending chunks instead of single indices:
-  // lexicographic families are emitted in trie DFS order, so neighbouring
-  // indices share the deepest prefixes, and those only pay off when the
-  // SAME worker (whose trail and checkpoints describe the previous member)
-  // runs them.
-  const bool prefix = sched.options.strategy == SweepStrategy::kPrefix &&
-                      !sched.options.sampling.enabled;
-  const std::size_t chunk = prefix ? 8 : 1;
 
   const auto worker = [&](unsigned w) {
     // Bound the thread's view-arena floor: the worker's program fixtures
@@ -489,6 +464,12 @@ void run_threads(SweepScheduler& sched, const ProgramFactory& make_program) {
     metrics::Registry& reg = *ctx.registry;
     {
       SpecExecutor exec(make_program, sched.family, sched.options);
+      // Prefix workers claim ascending chunks instead of single indices:
+      // lexicographic families are emitted in trie DFS order, so
+      // neighbouring indices share the deepest prefixes, and those only pay
+      // off when the SAME worker (whose trail and checkpoints describe the
+      // previous member) runs them.
+      const std::size_t chunk = exec.prefix() ? 8 : 1;
       for (;;) {
         const std::size_t start =
             next.fetch_add(chunk, std::memory_order_relaxed);

@@ -48,7 +48,7 @@ enum class SweepStrategy {
 
   /// Prefix sharing: the family is treated as a trie keyed on the per-point
   /// steal decisions.  Each worker records the decision trail of its latest
-  /// run and takes checkpoints (engine snapshot + Tool::fork of the detector
+  /// run and takes checkpoints (engine snapshot + SpPlusDetector::fork
   /// + race-log copy) along it exactly at the points where a later family
   /// member first decides differently (specs are pure functions of the
   /// point context, so the run evaluates them as it goes); for the next

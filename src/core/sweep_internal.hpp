@@ -60,7 +60,7 @@ namespace rader::sweep_internal {
 /// run, which is exactly the trie structure of the family.
 struct PrefixCheckpoint {
   EngineCheckpoint engine;
-  std::unique_ptr<Tool> tool;
+  std::unique_ptr<SpPlusDetector> tool;
   RaceLog log;
 };
 
@@ -72,22 +72,25 @@ struct PrefixCheckpoint {
 std::size_t divergence_depth(const spec::StealSpec& spec,
                              const DecisionTrail& trail);
 
-/// Executes family members one at a time, carrying the cross-spec state the
-/// prefix strategy needs (decision trail, checkpoint stack, last run's log)
-/// between calls.  One instance per worker thread / per sandbox child; the
-/// family, factory, and options must outlive it.  run() calls with
-/// ascending indices realize the prefix strategy's trie walk: while member i
-/// runs, the executor checkpoints exactly the points where a later member
-/// first decides differently, so each following member resumes right at its
+/// Executes family members one at a time: the one way a family member runs.
+/// One instance per worker thread / per sandbox child; the family, factory,
+/// and options must outlive it.
+///
+/// Under the prefix strategy it carries cross-spec state between calls
+/// (decision trail, checkpoint stack, last run's log).  run() calls with
+/// ascending indices realize the trie walk: while member i runs, the
+/// executor checkpoints exactly the points where a later member first
+/// decides differently, so each following member resumes right at its
 /// divergence.  Any order is correct (each run is self-contained), just
 /// slower.  After the first resume that fails verification the executor
 /// takes no more checkpoints: the program cannot resume, so every later
 /// member runs fresh.
 ///
-/// Sampling (options.sampling.enabled) forces rerun semantics internally —
-/// prefix checkpoints carry detector state across specs, and each spec
-/// samples a different granule set, so a resumed checkpoint would mix two
-/// sample sets.
+/// Rerun is the same executor with checkpointing off: no trail, no point
+/// hook and no dedup reuse, so every member runs fresh.  Sampling
+/// (options.sampling.enabled) forces rerun — prefix checkpoints carry
+/// detector state across specs, and each spec samples a different granule
+/// set, so a resumed checkpoint would mix two sample sets.
 class SpecExecutor {
  public:
   SpecExecutor(const ProgramFactory& make_program,
@@ -110,9 +113,10 @@ class SpecExecutor {
   /// land attributably at spec granularity.
   RunOutcome run(std::size_t i, RaceLog* out);
 
+  /// Whether runs share prefixes (kPrefix without sampling), decided once.
+  bool prefix() const { return prefix_; }
+
  private:
-  RunOutcome run_rerun(std::size_t i, RaceLog* out);
-  RunOutcome run_prefix(std::size_t i, RaceLog* out);
   void on_point(std::size_t idx, const spec::PointCtx& ctx);
   void drop_checkpoints(std::size_t keep);
 
@@ -120,7 +124,7 @@ class SpecExecutor {
   const std::vector<std::unique_ptr<spec::StealSpec>>& family_;
   const SweepOptions& options_;
   const bool prefix_;
-  bool resumable_ = true;  // false after the first ResumeDiverged
+  bool checkpointing_;  // prefix_, until the first ResumeDiverged
 
   std::function<void()> program_;        // this executor's program instance
   DecisionTrail trail_;                  // decisions of the latest run
@@ -133,7 +137,7 @@ class SpecExecutor {
   std::size_t cur_ = 0;
   std::size_t scan_end_ = 0;
   SerialEngine* eng_ = nullptr;
-  Tool* cur_tool_ = nullptr;
+  SpPlusDetector* cur_tool_ = nullptr;
   RaceLog* cur_out_ = nullptr;
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "runtime/types.hpp"
+#include "support/json.hpp"
 
 namespace rader {
 
@@ -38,32 +39,6 @@ const char* reducer_op_name(std::uint8_t aux) {
     case ReducerOp::kReduce: return "Reduce";
   }
   return "op";
-}
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string escaped(const char* s) {
-  std::string out;
-  append_escaped(out, s);
-  return out;
 }
 
 /// One emitted trace-event JSON object, sortable by timestamp.  `seq`
@@ -151,14 +126,14 @@ std::string event_args(const Event& e) {
     case EventKind::kViewCreate:
       os << "{\"view\":" << e.a << ",\"reducer\":" << e.b
          << ",\"identity\":" << (e.aux != 0 ? "true" : "false")
-         << ",\"label\":\"" << escaped(e.label) << "\"}";
+         << ",\"label\":\"" << json_escaped(e.label) << "\"}";
       break;
     case EventKind::kViewDestroy:
       os << "{\"view\":" << e.a << ",\"reducer\":" << e.b << '}';
       break;
     case EventKind::kReducerOp:
       os << "{\"reducer\":" << e.a << ",\"op\":\"" << reducer_op_name(e.aux)
-         << "\",\"label\":\"" << escaped(e.label) << "\"}";
+         << "\",\"label\":\"" << json_escaped(e.label) << "\"}";
       break;
     case EventKind::kConflict:
       os << "{\"addr\":" << e.a << ",\"prior_frame\":" << e.b
@@ -170,7 +145,7 @@ std::string event_args(const Event& e) {
          << ((e.aux & trace::kConflictViewAware) ? "true" : "false")
          << ",\"view_read\":"
          << ((e.aux & trace::kConflictViewRead) ? "true" : "false")
-         << ",\"label\":\"" << escaped(e.label) << "\"}";
+         << ",\"label\":\"" << json_escaped(e.label) << "\"}";
       break;
   }
   return os.str();
@@ -196,7 +171,7 @@ std::string instant_name(const Event& e) {
       break;
     case EventKind::kConflict:
       os << ((e.aux & trace::kConflictViewRead) ? " view-read" : "")
-         << " [" << escaped(e.label) << ']';
+         << " [" << json_escaped(e.label) << ']';
       break;
     default:
       break;
@@ -227,7 +202,7 @@ std::string chrome_trace_json(const trace::Session& session) {
   for (const trace::Buffer* buf : buffers) {
     w.add_meta("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
                ",\"name\":\"process_name\",\"args\":{\"name\":\"" +
-               escaped(buf->name().c_str()) + "\"}}");
+               json_escaped(buf->name()) + "\"}}");
 
     struct OpenFrame {
       std::uint64_t start_nanos = 0;

@@ -138,7 +138,7 @@ class Bag {
 
   /// Point the bag at a different forest.  Node handles, roots, and
   /// metadata are position-dependent only on the forest's vectors, so a
-  /// forked detector (Tool::fork) copies its DisjointSets wholesale and
+  /// forked detector (SpPlusDetector::fork) copies its DisjointSets and
   /// rebinds every bag it holds to the copy; the bag's root and sticky
   /// metadata remain valid verbatim.
   void rebind(DisjointSets* ds) { ds_ = ds; }

@@ -30,8 +30,8 @@
 // natively while (a) REPLAYING the recorded decisions instead of consulting
 // the specification for the shared prefix and (b) SUPPRESSING all tool
 // callbacks until the checkpointed point, where a forked detector
-// (Tool::fork) takes over.  Engine-side state (frame IDs, view IDs, view
-// epochs, reducer bindings) regenerates deterministically; the
+// (SpPlusDetector::fork) takes over.  Engine-side state (frame IDs, view
+// IDs, view epochs, reducer bindings) regenerates deterministically; the
 // EngineCheckpoint snapshot exists to *verify* that regeneration at the
 // hand-over point.  Detector work dominates instrumented runs, so skipping
 // it across the prefix is where the sweep speedup comes from.
@@ -118,8 +118,9 @@ class SerialEngine final : public Engine {
   /// (the point the detector fork was checkpointed at).  Requires
   /// live_from <= replay_count; the attached tool must be a fork
   /// captured at point `live_from` of an execution whose decisions match
-  /// `replay` (Tool::fork).  `expect`, when given, is verified against the
-  /// regenerated engine state the moment point `live_from` begins.
+  /// `replay` (SpPlusDetector::fork).  `expect`, when given, is verified
+  /// against the regenerated engine state the moment point `live_from`
+  /// begins.
   struct ResumePlan {
     const DecisionTrail* replay = nullptr;
     std::size_t replay_count = 0;

@@ -322,16 +322,4 @@ void SharedSnapshot::read_into(Snapshot* out) const {
   }
 }
 
-double time_best_of(int reps, const std::function<void()>& fn) {
-  RADER_CHECK(reps > 0);
-  double best = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    Stopwatch t;
-    fn();
-    const double s = t.seconds();
-    best = (i == 0) ? s : std::min(best, s);
-  }
-  return best;
-}
-
 }  // namespace rader::metrics

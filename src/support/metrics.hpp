@@ -42,7 +42,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -364,10 +363,5 @@ class Stopwatch {
  private:
   std::uint64_t start_ = 0;
 };
-
-/// Run `fn` `reps` times and return the *minimum* wall-clock seconds of a
-/// single run.  Minimum-of-N is the standard noise-robust estimator for
-/// deterministic CPU-bound workloads.
-double time_best_of(int reps, const std::function<void()>& fn);
 
 }  // namespace rader::metrics

@@ -42,12 +42,6 @@ SamplingTool::SamplingTool(Tool* inner, const SamplingConfig& config)
   RADER_CHECK_MSG(inner_ != nullptr, "SamplingTool needs an inner tool");
 }
 
-SamplingTool::SamplingTool(std::unique_ptr<Tool> owned,
-                           const SamplingConfig& config)
-    : SamplingTool(owned.get(), config) {
-  owned_ = std::move(owned);
-}
-
 SpecSampler::SpecSampler(Tool* detector, const SamplingConfig& config,
                          std::string_view spec_describe)
     : detector_(detector) {
@@ -126,21 +120,6 @@ void SamplingTool::on_access(AccessKind kind, std::uintptr_t addr,
 
 void SamplingTool::on_reducer_op(ReducerOp op, ReducerId h, SrcTag tag) {
   if (all_ || sampled_reducer(h)) inner_->on_reducer_op(op, h, tag);
-}
-
-std::unique_ptr<Tool> SamplingTool::fork(RaceLog* log) const {
-  std::unique_ptr<Tool> inner_fork = inner_->fork(log);
-  if (inner_fork == nullptr) return nullptr;
-  SamplingConfig config;
-  config.enabled = true;
-  config.rate = all_ ? 1.0 : 0.0;  // threshold_/seed_ re-set below
-  config.seed = seed_;
-  config.block_bits = block_bits_;
-  auto copy = std::unique_ptr<SamplingTool>(
-      new SamplingTool(std::move(inner_fork), config));
-  copy->threshold_ = threshold_;
-  copy->all_ = all_;
-  return copy;
 }
 
 }  // namespace rader

@@ -34,11 +34,15 @@
 //                       inner detector's series-parallel state is exact.
 //
 // Determinism: block b is sampled iff mix64(b ^ seed) < P * 2^64.
-// No RNG stream, no per-run state — the same (seed, rate) pair samples
-// the same blocks in every run, on every worker, at every --jobs, which
-// is what makes sampled sweeps reproducible and jobs-invariant.  The
-// sampled sets are NESTED as P grows (the threshold only rises), giving
-// provably monotone recall — the property the statistical tests assert.
+// No RNG stream, no per-run state — within one process the same (seed,
+// rate) pair samples the same blocks in every run, on every worker, at
+// every --jobs, which is what makes sampled sweeps jobs-invariant.  Blocks
+// are absolute addresses, so the data they cover follows the process's
+// memory layout: under ASLR, or from another build, a second process
+// samples different data, and a sampled report is not reproducible from
+// one process to the next.  The sampled sets are NESTED as P grows (the
+// threshold only rises), giving provably monotone recall — the property
+// the statistical tests assert.
 // At P >= 1 every event is forwarded VERBATIM (no splitting), so a P=1
 // sampled run is byte-identical to an unsampled one by construction.
 //
@@ -55,8 +59,6 @@
 
 namespace rader {
 
-class RaceLog;
-
 /// Sampling knobs, threaded from the CLI through driver and sweep.
 struct SamplingConfig {
   bool enabled = false;   // presence of --sample-rate
@@ -71,7 +73,7 @@ std::uint64_t sampling_seed_for_spec(std::uint64_t seed,
                                      std::string_view spec_describe);
 
 /// Per-granule Bernoulli filter in front of an inner detector; see the
-/// file comment.  The inner tool is borrowed, except in a fork().
+/// file comment.  The inner tool is borrowed.
 class SamplingTool final : public Tool {
  public:
   SamplingTool(Tool* inner, const SamplingConfig& config);
@@ -106,14 +108,8 @@ class SamplingTool final : public Tool {
     inner_->on_clear(addr, size);
   }
 
-  /// Forks the inner detector and wraps the clone with the same filter.
-  std::unique_ptr<Tool> fork(RaceLog* log) const override;
-
  private:
-  SamplingTool(std::unique_ptr<Tool> owned, const SamplingConfig& config);
-
-  Tool* inner_;                    // the wrapped detector (maybe owned_)
-  std::unique_ptr<Tool> owned_;    // set when forked
+  Tool* inner_;                    // the wrapped detector (borrowed)
   std::uint64_t threshold_;        // sampled iff mix64(b ^ seed) < threshold_
   std::uint64_t seed_;
   unsigned block_bits_;

@@ -37,14 +37,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "runtime/types.hpp"
 
 namespace rader {
-
-class RaceLog;  // core/race_report.hpp; tools are below the core layer
 
 class Tool {
  public:
@@ -53,19 +50,6 @@ class Tool {
 
   Tool(const Tool&) = delete;
   Tool& operator=(const Tool&) = delete;
-
-  /// Deep-copy this tool's detection state mid-run, wiring the clone's
-  /// reports to `log` (may be nullptr for a frozen snapshot that is only
-  /// ever re-forked, never fed events).  Mutating either side after the
-  /// fork never affects the other: forks share shadow pages copy-on-write
-  /// (shadow::AccessShadow::fork, over PackedShadow::fork) but nothing
-  /// mutable.  This is the detector half of the prefix-sharing sweep's
-  /// checkpoints (core/sweep.hpp).  Default: forking unsupported; returns
-  /// nullptr.
-  virtual std::unique_ptr<Tool> fork(RaceLog* log) const {
-    (void)log;
-    return nullptr;
-  }
 
   /// A root computation is about to run / has finished.
   virtual void on_run_begin() {}

@@ -15,8 +15,9 @@ class BenchmarkRaceCheck
 
 TEST_P(BenchmarkRaceCheck, ExhaustivelyRaceFreeAtSmallScale) {
   Workload w = make_benchmark(GetParam(), /*scale=*/0.002);
-  const auto result =
-      Rader::check_exhaustive([&] { w.run(); }, /*k_cap=*/4, /*depth_cap=*/6);
+  const auto result = Rader::check_exhaustive(shared_program([&] { w.run(); }),
+                                              {}, /*k_cap=*/4,
+                                              /*depth_cap=*/6);
   EXPECT_FALSE(result.log.any())
       << w.name << " under " << result.spec_runs
       << " specs:\n" << result.log.to_string();

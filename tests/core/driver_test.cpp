@@ -19,7 +19,7 @@ TEST(Driver, CleanProgramCleanEverywhere) {
     volatile long v = sum.get_value();
     (void)v;
   };
-  const auto result = Rader::check_exhaustive(clean);
+  const auto result = Rader::check_exhaustive(shared_program(clean));
   EXPECT_FALSE(result.log.any());
   EXPECT_GT(result.spec_runs, 1u);
   EXPECT_EQ(result.k, 4u);
@@ -30,8 +30,8 @@ TEST(Driver, ExhaustiveUsesProbeStatsForFamilySize) {
     for (int i = 0; i < 5; ++i) spawn([] {});
     sync();
   };
-  const auto result = Rader::check_exhaustive(program, /*k_cap=*/3,
-                                              /*depth_cap=*/2);
+  const auto result = Rader::check_exhaustive(shared_program(program), {},
+                                              /*k_cap=*/3, /*depth_cap=*/2);
   EXPECT_EQ(result.probe_stats.max_sync_block, 5u);
   EXPECT_EQ(result.k, 3u);      // capped
   // Five unsynced spawns in one block reach depth 5; capped at 2.
@@ -50,7 +50,7 @@ TEST(Driver, CheckWithFamilyMergesLogs) {
   std::vector<std::unique_ptr<spec::StealSpec>> family;
   family.push_back(std::make_unique<spec::NoSteal>());
   family.push_back(std::make_unique<spec::StealAll>());
-  const RaceLog log = Rader::check_with_family(racy, family);
+  const RaceLog log = sweep_family(shared_program(racy), family).log;
   // Found in both runs; occurrence counts accumulate, locations dedup.
   EXPECT_EQ(log.determinacy_count(), 8u);
   EXPECT_EQ(log.determinacy_races().size(), 4u);
@@ -103,7 +103,7 @@ TEST(Driver, RaceLogToStringMentionsEverything) {
     (void)v;
     sync();
   };
-  const auto result = Rader::check_exhaustive(racy);
+  const auto result = Rader::check_exhaustive(shared_program(racy));
   const std::string text = result.log.to_string();
   EXPECT_NE(text.find("view-read race"), std::string::npos);
   EXPECT_NE(text.find("determinacy race"), std::string::npos);

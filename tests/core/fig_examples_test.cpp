@@ -123,7 +123,8 @@ TEST_F(Fig1Fixture, OracleConfirmsTheRaceOnTheSameExecution) {
 
 TEST_F(Fig1Fixture, ExhaustiveDriverFindsItWithoutHandPickedSpec) {
   const auto prog = program();
-  const auto result = Rader::check_exhaustive(prog, /*k_cap=*/8);
+  const auto result =
+      Rader::check_exhaustive(shared_program(prog), {}, /*k_cap=*/8);
   EXPECT_TRUE(result.log.determinacy_count() > 0);
   EXPECT_GT(result.spec_runs, 1u);
 }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -89,6 +90,37 @@ TEST(ReportWire, CapDroppedOccurrenceTotalsSurvive) {
   ASSERT_TRUE(race_log_from_json(tiny.to_json(), &restored));
   EXPECT_EQ(restored.determinacy_count(), 3u);
   EXPECT_EQ(restored.to_json(), tiny.to_json());
+}
+
+// Control characters in labels must leave the writer as four-digit \u
+// escapes, which the reader (and any JSON parser) accepts.
+TEST(ReportWire, ControlCharacterLabelsRoundTrip) {
+  const std::string labels[] = {"a\x01" "b", "left\rwrite", "x\x1f" "y"};
+  RaceLog log;
+  for (std::size_t i = 0; i < std::size(labels); ++i) {
+    log.report_determinacy(make_determinacy_race(
+        0x1000 + i, AccessKind::kRead, false, true, 1, 2, labels[i]));
+    log.report_view_read(make_view_read_race(static_cast<ReducerId>(i), 1, 2,
+                                             labels[i], labels[i]));
+  }
+  log.stamp_found_under("no-steals");
+  const std::string json = log.to_json();
+  for (const char* escaped :
+       {"a\\u0001b", "left\\u000dwrite", "x\\u001fy"}) {
+    EXPECT_NE(json.find(escaped), std::string::npos) << escaped;
+  }
+
+  RaceLog restored;
+  std::string error;
+  ASSERT_TRUE(race_log_from_json(json, &restored, &error)) << error;
+  EXPECT_EQ(restored.to_json(), json);
+  ASSERT_EQ(restored.determinacy_races().size(), std::size(labels));
+  ASSERT_EQ(restored.view_read_races().size(), std::size(labels));
+  for (std::size_t i = 0; i < std::size(labels); ++i) {
+    EXPECT_EQ(restored.determinacy_races()[i].current_label, labels[i]);
+    EXPECT_EQ(restored.view_read_races()[i].prior_label, labels[i]);
+    EXPECT_EQ(restored.view_read_races()[i].current_label, labels[i]);
+  }
 }
 
 TEST(ReportWire, EmptyLogRoundTrips) {

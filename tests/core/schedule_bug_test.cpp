@@ -75,7 +75,8 @@ TEST(ScheduleDependentBug, ElicitedByASingleDepthSteal) {
 }
 
 TEST(ScheduleDependentBug, FoundByTheExhaustiveFamily) {
-  const auto result = Rader::check_exhaustive([] { lazy_init_program(); });
+  const auto result =
+      Rader::check_exhaustive(shared_program([] { lazy_init_program(); }));
   EXPECT_TRUE(result.log.determinacy_count() > 0);
   EXPECT_EQ(result.log.view_read_count(), 0u);
 }

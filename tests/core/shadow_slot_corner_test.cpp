@@ -98,7 +98,8 @@ TEST(ShadowSlotCorner, Figure6SpPlusMissesItInThisExecution) {
 }
 
 TEST(ShadowSlotCorner, ExhaustiveFamilyStillReportsTheLocation) {
-  const auto result = Rader::check_exhaustive([] { corner_program(); });
+  const auto result =
+      Rader::check_exhaustive(shared_program([] { corner_program(); }));
   bool found = false;
   for (const auto& race : result.log.determinacy_races()) {
     found |= race.addr >= reinterpret_cast<std::uintptr_t>(&g_slot) &&

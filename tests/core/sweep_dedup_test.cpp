@@ -18,6 +18,8 @@
 #include "runtime/api.hpp"
 #include "spec/steal_spec.hpp"
 
+#include "../serial_family.hpp"
+
 namespace rader {
 namespace {
 
@@ -110,7 +112,7 @@ TEST(SweepDedup, CheckWithFamilyCollapsesPerSpecDuplicates) {
   // dynamic observation (8 x 3 specs).
   const auto family = three_specs();
   const RaceLog log =
-      Rader::check_with_family([] { racy_two_reads(); }, family);
+      sweep_family(shared_program([] { racy_two_reads(); }), family).log;
 
   EXPECT_EQ(log.determinacy_count(), 24u);
   ASSERT_EQ(log.determinacy_races().size(), 8u);
@@ -131,14 +133,13 @@ TEST(SweepDedup, CheckWithFamilyCollapsesPerSpecDuplicates) {
 TEST(SweepDedup, ParallelSweepLogIdenticalToSerialAtEveryThreadCount) {
   const auto family = three_specs();
   const RaceLog serial =
-      Rader::check_with_family([] { racy_two_reads(); }, family);
+      testing::serial_family_log([] { racy_two_reads(); }, family);
   const ProgramFactory factory = shared_program([] { racy_two_reads(); });
 
   for (const unsigned threads : {1u, 2u, 4u}) {
     SweepOptions options;
     options.threads = threads;
-    const SweepResult result =
-        Rader::check_with_family(factory, family, options);
+    const SweepResult result = sweep_family(factory, family, options);
     EXPECT_EQ(result.spec_runs, family.size()) << threads << " thread(s)";
     EXPECT_EQ(result.specs_skipped, 0u);
     EXPECT_EQ(result.log.to_json(), serial.to_json())
@@ -150,7 +151,7 @@ TEST(SweepDedup, BudgetCapsRunsAndCountsSkips) {
   const auto family = three_specs();
   SweepOptions options;
   options.budget = 2;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
   EXPECT_EQ(result.spec_runs, 2u);
   EXPECT_EQ(result.specs_skipped, 1u);
@@ -165,7 +166,7 @@ TEST(SweepDedup, StopAfterFirstRaceSkipsTheTail) {
   const auto family = three_specs();
   SweepOptions options;
   options.stop_after_first_race = true;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
   EXPECT_TRUE(result.log.any());
   EXPECT_EQ(result.spec_runs, 1u);  // the very first spec already races
@@ -190,8 +191,7 @@ TEST(SweepDedup, StopFirstMeansLowestFamilyIndexAtEveryThreadCount) {
   SweepOptions serial_options;
   serial_options.threads = 1;
   serial_options.stop_after_first_race = true;
-  const SweepResult baseline =
-      Rader::check_with_family(factory, family, serial_options);
+  const SweepResult baseline = sweep_family(factory, family, serial_options);
   EXPECT_TRUE(baseline.log.any());
   EXPECT_EQ(baseline.spec_runs, 3u);
   EXPECT_EQ(baseline.specs_skipped, 2u);
@@ -208,8 +208,7 @@ TEST(SweepDedup, StopFirstMeansLowestFamilyIndexAtEveryThreadCount) {
       SweepOptions options;
       options.threads = threads;
       options.stop_after_first_race = true;
-      const SweepResult result =
-          Rader::check_with_family(factory, family, options);
+      const SweepResult result = sweep_family(factory, family, options);
       EXPECT_EQ(result.spec_runs, baseline.spec_runs)
           << threads << " thread(s), repeat " << repeat;
       EXPECT_EQ(result.specs_skipped, baseline.specs_skipped)
@@ -229,7 +228,7 @@ TEST(SweepDedup, ReplayHandleReproducesTheStopFirstRaceSet) {
   SweepOptions options;
   options.threads = 4;
   options.stop_after_first_race = true;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { steal_dependent_racy(); }), family, options);
   ASSERT_TRUE(result.log.any());
   const std::string handle =
@@ -247,7 +246,7 @@ TEST(SweepDedup, ReplayHandleReproducesTheStopFirstRaceSet) {
 
 TEST(SweepDedup, CleanProgramSweepsWholeFamilyQuietly) {
   const auto family = three_specs();
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { clean_disjoint(); }), family, SweepOptions{});
   EXPECT_FALSE(result.log.any());
   EXPECT_EQ(result.spec_runs, family.size());
@@ -255,7 +254,7 @@ TEST(SweepDedup, CleanProgramSweepsWholeFamilyQuietly) {
 }
 
 TEST(SweepDedup, ParallelExhaustiveMatchesSerialExhaustive) {
-  const auto serial = Rader::check_exhaustive([] { racy_two_reads(); });
+  const auto serial = testing::serial_exhaustive([] { racy_two_reads(); });
   for (const unsigned threads : {1u, 4u}) {
     SweepOptions options;
     options.threads = threads;

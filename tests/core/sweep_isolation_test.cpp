@@ -47,6 +47,15 @@ void clean_disjoint() {
   sync();
 }
 
+// Racing accesses labelled with control characters, which JSON must
+// escape as \u00XX.
+void racy_control_labels() {
+  spawn([] { shadow_write(&g_x, 4, SrcTag{"a\x01" "b"}); });
+  shadow_write(&g_x, 4, SrcTag{"left\rwrite"});
+  shadow_read(&g_x, 4, SrcTag{"x\x1f" "y"});
+  sync();
+}
+
 /// NoSteal plus distinct depth specs — n unique members with unique handles.
 std::vector<std::unique_ptr<spec::StealSpec>> depth_family(std::size_t n) {
   std::vector<std::unique_ptr<spec::StealSpec>> family;
@@ -87,8 +96,7 @@ SweepResult run_in_process(
     std::function<void()> program) {
   SweepOptions options;
   options.threads = 1;
-  return Rader::check_with_family(shared_program(std::move(program)), family,
-                                  options);
+  return sweep_family(shared_program(std::move(program)), family, options);
 }
 
 TEST(SweepIsolation, CleanFamilyMatchesInProcessAtEveryJobsCount) {
@@ -101,7 +109,7 @@ TEST(SweepIsolation, CleanFamilyMatchesInProcessAtEveryJobsCount) {
     SweepOptions options;
     options.isolation = SweepIsolation::kProcs;
     options.threads = jobs;
-    const SweepResult result = Rader::check_with_family(
+    const SweepResult result = sweep_family(
         shared_program([] { clean_disjoint(); }), family, options);
     EXPECT_EQ(result.spec_runs, family.size()) << jobs << " job(s)";
     EXPECT_EQ(result.specs_skipped, 0u);
@@ -109,6 +117,26 @@ TEST(SweepIsolation, CleanFamilyMatchesInProcessAtEveryJobsCount) {
     EXPECT_EQ(result.log.to_json(), baseline.log.to_json())
         << jobs << " job(s)";
   }
+}
+
+TEST(SweepIsolation, ControlCharacterLabelsCrossThePipe) {
+  // A child ships each spec's log as JSON; a label the writer escaped
+  // wrongly made the supervisor reject the line and quarantine the spec.
+  std::vector<std::unique_ptr<spec::StealSpec>> family;
+  family.push_back(std::make_unique<spec::NoSteal>());
+  family.push_back(std::make_unique<spec::StealAll>());
+  const SweepResult baseline =
+      run_in_process(family, [] { racy_control_labels(); });
+  ASSERT_TRUE(baseline.log.any());
+
+  SweepOptions options;
+  options.isolation = SweepIsolation::kProcs;
+  const SweepResult result = sweep_family(
+      shared_program([] { racy_control_labels(); }), family, options);
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_EQ(result.metrics.counter(metrics::Counter::kSweepQuarantined), 0u);
+  EXPECT_EQ(result.spec_runs, family.size());
+  EXPECT_EQ(result.log.to_json(), baseline.log.to_json());
 }
 
 TEST(SweepIsolation, RacyFamilyByteIdenticalAcrossJobsAndStrategies) {
@@ -123,7 +151,7 @@ TEST(SweepIsolation, RacyFamilyByteIdenticalAcrossJobsAndStrategies) {
       options.isolation = SweepIsolation::kProcs;
       options.strategy = strategy;
       options.threads = jobs;
-      const SweepResult result = Rader::check_with_family(
+      const SweepResult result = sweep_family(
           shared_program([] { racy_two_reads(); }), family, options);
       EXPECT_EQ(result.spec_runs, family.size());
       EXPECT_TRUE(result.failures.empty());
@@ -146,7 +174,7 @@ TEST(SweepIsolation, InjectedCrashIsQuarantinedAndSurvivorsMatch) {
   options.isolation = SweepIsolation::kProcs;
   options.threads = 2;
   options.max_retries = 1;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
 
   ASSERT_EQ(result.failures.size(), 1u);
@@ -173,7 +201,7 @@ TEST(SweepIsolation, InjectedHangTimesOutAndIsQuarantined) {
   options.threads = 2;
   options.spec_timeout_ms = 300;
   options.max_retries = 1;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
 
   ASSERT_EQ(result.failures.size(), 1u);
@@ -195,7 +223,7 @@ TEST(SweepIsolation, InjectedOomIsClassifiedAndQuarantined) {
   options.isolation = SweepIsolation::kProcs;
   options.threads = 2;
   options.max_retries = 0;  // the fault is deterministic: no point retrying
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
 
   ASSERT_EQ(result.failures.size(), 1u);
@@ -221,7 +249,7 @@ TEST(SweepIsolation, PreAttributionCrashBisectsToTheCulprit) {
   options.isolation = SweepIsolation::kProcs;
   options.threads = 1;
   options.max_retries = 1;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
 
   ASSERT_EQ(result.failures.size(), 1u);
@@ -245,7 +273,7 @@ TEST(SweepIsolation, WatchdogKillRecoversAStalledChild) {
   options.watchdog_ms = 200;  // no per-spec deadline: only the watchdog
   options.watchdog_kill = true;
   options.max_retries = 0;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
 
   ASSERT_EQ(result.failures.size(), 1u);
@@ -307,7 +335,7 @@ TEST(SweepIsolation, StopFirstPrefixIsDeterministicUnderIsolation) {
   SweepOptions serial_options;
   serial_options.threads = 1;
   serial_options.stop_after_first_race = true;
-  const SweepResult baseline = Rader::check_with_family(
+  const SweepResult baseline = sweep_family(
       shared_program([] { steal_dependent_racy(); }), family, serial_options);
   ASSERT_TRUE(baseline.log.any());
   ASSERT_EQ(baseline.spec_runs, 3u);
@@ -318,7 +346,7 @@ TEST(SweepIsolation, StopFirstPrefixIsDeterministicUnderIsolation) {
       options.isolation = SweepIsolation::kProcs;
       options.threads = jobs;
       options.stop_after_first_race = true;
-      const SweepResult result = Rader::check_with_family(
+      const SweepResult result = sweep_family(
           shared_program([] { steal_dependent_racy(); }), family, options);
       EXPECT_EQ(result.spec_runs, baseline.spec_runs)
           << jobs << " job(s), repeat " << repeat;
@@ -342,7 +370,7 @@ TEST(SweepIsolation, IsolationCountersTrackCrashRetryQuarantine) {
   options.isolation = SweepIsolation::kProcs;
   options.threads = 2;
   options.max_retries = 1;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
   ASSERT_EQ(result.failures.size(), 1u);
 
@@ -370,7 +398,7 @@ TEST(SweepIsolation, PostmortemDirCollectsCrashDumps) {
   options.threads = 1;
   options.max_retries = 0;
   options.postmortem_dir = dir;
-  const SweepResult result = Rader::check_with_family(
+  const SweepResult result = sweep_family(
       shared_program([] { racy_two_reads(); }), family, options);
 
   ASSERT_EQ(result.failures.size(), 1u);
@@ -400,7 +428,7 @@ TEST(SweepIsolation, PerSpecProfileAndTraceStayInTheChildren) {
       SweepOptions options;
       options.isolation = isolation;
       options.threads = 2;
-      const SweepResult result = Rader::check_with_family(
+      const SweepResult result = sweep_family(
           shared_program([] { racy_two_reads(); }), family, options);
       EXPECT_EQ(result.spec_runs, family.size());
     }
@@ -440,7 +468,7 @@ TEST(SweepIsolation, ThousandSpecAcceptance) {
       options.threads = jobs;
       options.spec_timeout_ms = 300;
       options.max_retries = 1;
-      const SweepResult result = Rader::check_with_family(
+      const SweepResult result = sweep_family(
           shared_program([] { racy_two_reads(); }), family, options);
 
       ASSERT_EQ(result.failures.size(), 2u);

@@ -25,9 +25,8 @@ TEST_P(Litmus, VerdictsMatchHandDerivation) {
   EXPECT_EQ(serial.determinacy_count() > 0, c.sp_serial)
       << "SP+ serial-schedule verdict";
 
-  const auto family =
-      Rader::check_exhaustive([&] { c.program(); }, /*k_cap=*/8,
-                              /*depth_cap=*/16);
+  const auto family = Rader::check_exhaustive(shared_program(c.program), {},
+                                              /*k_cap=*/8, /*depth_cap=*/16);
   EXPECT_EQ(family.log.determinacy_count() > 0, c.sp_family)
       << "SP+ exhaustive-family verdict";
 

@@ -3,13 +3,13 @@
 // The prefix-sharing sweep (core/sweep.hpp) is built on two promises:
 //
 //   1. SerialEngine::resume_from() on a recorded decision trail, starting
-//      live delivery at a checkpointed point with a Tool::fork of the
+//      live delivery at a checkpointed point with a fork of the SP+
 //      detector, produces a run byte-identical to the straight-line
 //      execution — same race log, same stats, same reducer-view identity
 //      minting, same simulated-worker stamping under tracing.
-//   2. fork() gives every detector (SP-bags, SP+, Peer-Set) and
-//      the copy-on-write PackedShadow an INDEPENDENT clone: events fed to
-//      one side never leak into the other.
+//   2. fork() gives SP+ (the one detector the sweep checkpoints) and the
+//      copy-on-write PackedShadow an INDEPENDENT clone: events fed to one
+//      side never leak into the other.
 //
 // These tests check both promises directly, without the sweep in between.
 #include <gtest/gtest.h>
@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "core/peerset.hpp"
-#include "core/spbags.hpp"
 #include "core/spplus.hpp"
 #include "reducers/monoid.hpp"
 #include "reducers/reducer.hpp"
@@ -66,27 +64,18 @@ void checkpoint_program() {
   }
 }
 
-using ToolFactory = std::function<std::unique_ptr<Tool>(RaceLog*)>;
+using ToolFactory = std::function<std::unique_ptr<SpPlusDetector>(RaceLog*)>;
 
 struct NamedFactory {
   const char* name;
   ToolFactory make;
 };
 
+/// The forkable detectors: SP+, the only one the prefix sweep checkpoints.
 std::vector<NamedFactory> detector_factories() {
   return {
       {"sp+",
-       [](RaceLog* log) -> std::unique_ptr<Tool> {
-         return std::make_unique<SpPlusDetector>(log);
-       }},
-      {"spbags",
-       [](RaceLog* log) -> std::unique_ptr<Tool> {
-         return std::make_unique<SpBagsDetector>(log);
-       }},
-      {"peerset",
-       [](RaceLog* log) -> std::unique_ptr<Tool> {
-         return std::make_unique<PeerSetDetector>(log);
-       }},
+       [](RaceLog* log) { return std::make_unique<SpPlusDetector>(log); }},
   };
 }
 
@@ -97,7 +86,7 @@ struct StraightRun {
   // One checkpoint taken at `depth`, with the log and a frozen detector
   // fork captured exactly as the sweep's PrefixCheckpoint does.
   EngineCheckpoint ck;
-  std::unique_ptr<Tool> ck_tool;
+  std::unique_ptr<SpPlusDetector> ck_tool;
   RaceLog ck_log;
   bool captured = false;
 };
@@ -106,7 +95,7 @@ struct StraightRun {
 /// decision trail and capturing a checkpoint at continuation point `depth`.
 void run_straight(const ToolFactory& make, const spec::StealSpec& spec,
                   std::size_t depth, StraightRun* out) {
-  std::unique_ptr<Tool> tool = make(&out->log);
+  std::unique_ptr<SpPlusDetector> tool = make(&out->log);
   SerialEngine engine(tool.get(), &spec);
   engine.set_decision_trail(&out->trail);
   engine.set_point_hook([&](std::size_t idx, const spec::PointCtx&) {
@@ -124,7 +113,7 @@ void run_straight(const ToolFactory& make, const spec::StealSpec& spec,
 RaceLog run_resumed(const StraightRun& straight, const spec::StealSpec& spec,
                     SerialEngine::Stats* stats_out) {
   RaceLog log = straight.ck_log;
-  std::unique_ptr<Tool> tool = straight.ck_tool->fork(&log);
+  std::unique_ptr<SpPlusDetector> tool = straight.ck_tool->fork(&log);
   SerialEngine engine(tool.get(), &spec);
   SerialEngine::ResumePlan plan;
   plan.replay = &straight.trail;
@@ -281,7 +270,7 @@ TEST(EngineCheckpoint, PointHookSeesTheRecordedContext) {
   std::vector<Seen> resumed;
   {
     RaceLog log = straight.ck_log;
-    std::unique_ptr<Tool> tool = straight.ck_tool->fork(&log);
+    std::unique_ptr<SpPlusDetector> tool = straight.ck_tool->fork(&log);
     SerialEngine engine(tool.get(), &merging);
     engine.set_point_hook(record(&resumed));
     SerialEngine::ResumePlan plan;
@@ -321,7 +310,7 @@ TEST(EngineCheckpoint, ReplayPhaseClosesWhenTheRunGoesLive) {
   prof::Profiler profiler;
   obs::Scope scope(&profiler);
   RaceLog log = straight.ck_log;
-  std::unique_ptr<Tool> tool = straight.ck_tool->fork(&log);
+  std::unique_ptr<SpPlusDetector> tool = straight.ck_tool->fork(&log);
   SerialEngine engine(tool.get(), &all);
   SerialEngine::ResumePlan plan;
   plan.replay = &straight.trail;

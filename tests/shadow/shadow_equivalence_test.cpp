@@ -119,7 +119,7 @@ TEST(ShadowEncodingEquivalence, ExhaustiveCheckAgreesUnderBothEncodings) {
   for (int seed = 1; seed <= kPrograms; ++seed) {
     const GoldenRow& want = rows[seed - 1];
     const golden::SeededProgram program{want.seed};
-    const auto r = Rader::check_exhaustive([&] { program(); });
+    const auto r = Rader::check_exhaustive(shared_program(program));
     const Measured got = measure(want, r.log, r.spec_runs, r.specs_skipped);
     ASSERT_EQ(golden::format_row(got.row), golden::format_row(want))
         << "normalized log:\n"

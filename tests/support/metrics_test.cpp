@@ -231,8 +231,8 @@ TEST(Metrics, SweepAggregatesWorkersAndForwardsToOuterScope) {
     metrics::Scope scope(&outer);
     SweepOptions options;
     options.threads = 2;
-    result = Rader::check_with_family(
-        shared_program([] { racy_program(); }), family, options);
+    result = sweep_family(shared_program([] { racy_program(); }), family,
+                          options);
   }
   // Without stop-first every budgeted spec runs exactly once, so the counter
   // is deterministic and equals the accounted spec_runs.

@@ -51,6 +51,14 @@ SamplingConfig config_for(double rate, std::uint64_t seed = 0x5eed,
   return config;
 }
 
+/// check_exhaustive over the litmus case `c`, sampled per `sampling`.
+Rader::ExhaustiveResult exhaustive(const litmus::Case& c,
+                                   const SamplingConfig& sampling = {}) {
+  SweepOptions options;
+  options.sampling = sampling;
+  return Rader::check_exhaustive(shared_program(c.program), options);
+}
+
 // A no-op inner detector: lets the filter itself be probed in isolation.
 struct NullTool final : Tool {};
 
@@ -149,8 +157,8 @@ TEST(Sampling, RateOneIsByteIdenticalToUnsampledOnTheWholeLitmusCorpus) {
                 Rader::check_determinacy(c.program, *s).to_json())
           << c.name << " (sp+ under " << s->describe() << ")";
     }
-    const auto sampled = Rader::check_exhaustive(c.program, 16, 64, p1);
-    const auto full = Rader::check_exhaustive(c.program);
+    const auto sampled = exhaustive(c, p1);
+    const auto full = exhaustive(c);
     EXPECT_EQ(sampled.log.to_json(), full.log.to_json())
         << c.name << " (exhaustive)";
     EXPECT_EQ(sampled.spec_runs, full.spec_runs) << c.name;
@@ -165,13 +173,10 @@ TEST(Sampling, SampledRunsAreDeterministicPerSeed) {
   const SamplingConfig other = config_for(0.5, 0x5A5A, /*block_bits=*/0);
   bool seed_changed_something = false;
   for (const auto& c : litmus::all_cases()) {
-    const std::string first =
-        Rader::check_exhaustive(c.program, 16, 64, cfg).log.to_json();
-    const std::string second =
-        Rader::check_exhaustive(c.program, 16, 64, cfg).log.to_json();
+    const std::string first = exhaustive(c, cfg).log.to_json();
+    const std::string second = exhaustive(c, cfg).log.to_json();
     EXPECT_EQ(first, second) << c.name;
-    seed_changed_something |=
-        first != Rader::check_exhaustive(c.program, 16, 64, other).log.to_json();
+    seed_changed_something |= first != exhaustive(c, other).log.to_json();
   }
   EXPECT_TRUE(seed_changed_something)
       << "P=0.5 with byte blocks should drop different races per seed";
@@ -202,8 +207,7 @@ TEST(Sampling, RecallOnTheLitmusCorpusIsMonotoneInP) {
     std::set<std::string> prev;
     for (std::size_t i = 0; i < std::size(rates); ++i) {
       const auto cfg = config_for(rates[i], 0xF00D, /*block_bits=*/0);
-      const auto got = race_identities(
-          Rader::check_exhaustive(c.program, 16, 64, cfg).log);
+      const auto got = race_identities(exhaustive(c, cfg).log);
       for (const auto& id : prev) {
         EXPECT_TRUE(got.count(id))
             << c.name << ": race found at P=" << rates[i - 1]
@@ -211,7 +215,7 @@ TEST(Sampling, RecallOnTheLitmusCorpusIsMonotoneInP) {
       }
       prev = got;
     }
-    const auto full = race_identities(Rader::check_exhaustive(c.program).log);
+    const auto full = race_identities(exhaustive(c).log);
     EXPECT_EQ(prev, full) << c.name << ": P=1 must recover full precision";
   }
 }
