@@ -20,9 +20,9 @@ RaceLog Rader::check_view_read(FnView program,
 
 RaceLog Rader::check_parallel(FnView program, unsigned workers) {
   RaceLog log;
-  ParallelPeerSet tool(&log);
+  PeerSetDetector detector(&log);
   ParallelEngine engine(workers);
-  engine.set_tool(&tool);
+  engine.set_tool(&detector);
   {
     prof::Phase execute(nullptr, metrics::Phase::kExecute);
     engine.run(program);

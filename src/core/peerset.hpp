@@ -61,32 +61,4 @@ class PeerSetDetector final : public Tool {
   RaceLog* log_;
 };
 
-/// Peer-Set behind the parallel engine's capability surface
-/// (ParallelEngine::set_tool).  The engine replays the spliced event shards
-/// on worker 0 in depth-first order, byte-identical to a serial no-steal
-/// stream, so the serial detector runs unchanged — same bags, same shadow,
-/// same reports — while the program itself executes on all cores.  Peer-Set
-/// consumes no memory accesses, and the engine records none.
-class ParallelPeerSet final : public ParallelTool {
- public:
-  explicit ParallelPeerSet(RaceLog* log) : detector_(log) {}
-
-  void on_run_begin() override { detector_.on_run_begin(); }
-  void on_frame_enter(FrameId frame, FrameId parent, FrameKind kind,
-                      ViewId vid) override {
-    detector_.on_frame_enter(frame, parent, kind, vid);
-  }
-  void on_frame_return(FrameId frame, FrameId parent,
-                       FrameKind kind) override {
-    detector_.on_frame_return(frame, parent, kind);
-  }
-  void on_sync(FrameId frame) override { detector_.on_sync(frame); }
-  void on_reducer_op(ReducerOp op, ReducerId h, SrcTag tag) override {
-    detector_.on_reducer_op(op, h, tag);
-  }
-
- private:
-  PeerSetDetector detector_;
-};
-
 }  // namespace rader

@@ -46,10 +46,6 @@ class ParseTree {
   const std::vector<Node>& nodes() const { return nodes_; }
   std::int32_t root() const { return root_; }
 
-  /// Tree node index of a strand's leaf (-1 if the strand is not a leaf —
-  /// cannot happen for strands of a no-steal run).
-  std::int32_t leaf_of(StrandId s) const { return leaf_of_[s]; }
-
   /// Least common ancestor of two strands' leaves.
   std::int32_t lca(StrandId u, StrandId v) const;
 

@@ -45,9 +45,6 @@ enum class BagKind : std::uint8_t {
   kSP,    // Peer-Set: same peer set as the last executed continuation strand
 };
 
-/// Returns true for the kinds that the detectors treat as "a P bag".
-constexpr bool is_p_kind(BagKind k) { return k == BagKind::kP; }
-
 /// Union–find forest over dense node handles with per-root bag metadata.
 class DisjointSets {
  public:
@@ -118,12 +115,8 @@ class Bag {
   BagKind kind() const { return meta_.kind; }
   ViewId vid() const { return meta_.vid; }
 
-  /// Retag the bag's role/view (e.g. an SS bag absorbed as a P bag keeps its
-  /// elements but the *destination* decides the metadata).
-  void set_kind(BagKind kind) {
-    meta_.kind = kind;
-    stamp();
-  }
+  /// Retag the bag's view (an absorbed bag keeps its elements, but the
+  /// *destination* decides the metadata).
   void set_vid(ViewId vid) {
     meta_.vid = vid;
     stamp();

@@ -162,8 +162,13 @@ void SerialEngine::capture(EngineCheckpoint* out) const {
 
 void SerialEngine::go_live(std::size_t point) {
   replay_phase_.reset();
+  // Verify before going live: a diverged resume throws while delivery is
+  // still suppressed, so the user frames it unwinds deliver nothing.
+  if (expect_ != nullptr) verify_resume(point);
   live_ = true;
-  if (expect_ == nullptr) return;
+}
+
+void SerialEngine::verify_resume(std::size_t point) {
   // Fast-forward re-execution must have regenerated the checkpointed state
   // bit-for-bit; anything else means the program is not a pure function of
   // the steal decisions (e.g. it branches on wall-clock or on view

@@ -205,6 +205,7 @@ class SerialEngine final : public Engine {
 
   void run_impl(FnView root, bool from_start);
   void go_live(std::size_t point);  // verify expect_, start delivering events
+  void verify_resume(std::size_t point);  // throws ResumeDiverged
   void enter_frame(FrameKind kind);
   void leave_frame();
   void do_sync();

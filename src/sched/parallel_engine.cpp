@@ -35,7 +35,7 @@ ParallelEngine::~ParallelEngine() {
   for (auto& t : threads_) t.join();
 }
 
-void ParallelEngine::set_tool(ParallelTool* tool) {
+void ParallelEngine::set_tool(Tool* tool) {
   RADER_CHECK_MSG(!running_.load(std::memory_order_acquire),
                   "ParallelEngine::set_tool during a run");
   tool_ = tool;
@@ -43,7 +43,7 @@ void ParallelEngine::set_tool(ParallelTool* tool) {
 
 void ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
   if (tool_ == nullptr || w.suppress > 0 || w.frames.empty()) return;
-  w.frames.back().cur_ev->push_back(e);
+  w.frames.back().cur->events.push_back(e);
   metrics::bump(metrics::Counter::kShardEvents);
 }
 
@@ -53,16 +53,16 @@ void ParallelEngine::helper_loop(unsigned index) {
   Engine::Scope scope(this);
   while (!stop_.load(std::memory_order_acquire)) {
     std::size_t victim = 0;
-    if (ChildRecord* rec = steal(w, &victim)) {
+    if (Join* join = steal(w, &victim)) {
       // This run's sinks: the steal's acquire orders the read after run()
       // set them, and every report into them precedes the task's done flag,
       // which run() waits for before it folds them.
       obs::Scope sinks(w.sinks);
       note_steal(victim);
-      execute_child(w, rec);
+      execute_child(w, join);
       continue;
     }
-    // Nothing to steal: sleep until new work is spawned.  Register as a
+    // Nothing to steal: sleep until more work is spawned.  Register as a
     // sleeper, then look for work once more.  With a seq_cst fence on both
     // sides (here and in wake_helpers), a push that raced with the failed
     // steal is either seen by this look or sees the registration; in the
@@ -79,8 +79,8 @@ void ParallelEngine::helper_loop(unsigned index) {
   tl_worker_ = nullptr;
 }
 
-ParallelEngine::ChildRecord* ParallelEngine::steal(WorkerState& w,
-                                                   std::size_t* victim) {
+ParallelEngine::Join* ParallelEngine::steal(WorkerState& w,
+                                            std::size_t* victim) {
   const std::size_t n = workers_.size();
   // A few random-victim rounds, as in the Cilk scheduler.
   for (std::size_t attempt = 0; attempt < 2 * n; ++attempt) {
@@ -89,7 +89,7 @@ ParallelEngine::ChildRecord* ParallelEngine::steal(WorkerState& w,
     if (workers_[v]->deque.empty()) continue;  // skip drained victims
     if (void* task = workers_[v]->deque.steal()) {
       *victim = v;
-      return static_cast<ChildRecord*>(task);
+      return static_cast<Join*>(task);
     }
   }
   return nullptr;
@@ -150,17 +150,11 @@ void ParallelEngine::run(FnView root) {
       replayer_->begin();
     }
 
+    // The root frame's enter/return are minted by the replayer itself
+    // (begin()/end()), so its shard holds body events only.
+    Segment root_seg;
     FrameCtx frame;
-    frame.seg0 = new Hypermap();
-    frame.owns_seg0 = true;
-    frame.cur = frame.seg0;
-    if (tool_ != nullptr) {
-      // The root frame's enter/return are minted by the replayer itself
-      // (begin()/end()), so its shard holds body events only.
-      frame.ev0 = new EventShard();
-      frame.owns_ev0 = true;
-      frame.cur_ev = frame.ev0;
-    }
+    frame.seg0 = frame.cur = &root_seg;
     w.frames.push_back(std::move(frame));
 
     const FrameId root_tfid =
@@ -174,7 +168,6 @@ void ParallelEngine::run(FnView root) {
     trace::emit(trace::EventKind::kFrameReturn, root_tfid, kInvalidFrame, 0,
                 static_cast<std::uint8_t>(FrameKind::kRoot));
 
-    FrameCtx done = std::move(w.frames.back());
     w.frames.pop_back();
     RADER_CHECK(w.frames.empty());
 
@@ -184,7 +177,7 @@ void ParallelEngine::run(FnView root) {
     // land directly in the leftmost view there), so the user code runs
     // suppressed.
     ++w.suppress;
-    for (auto& [h, view] : *done.seg0) {
+    for (auto& [h, view] : root_seg.views) {
       HyperobjectBase* r;
       {
         std::lock_guard<std::mutex> lock(reg_mu_);
@@ -197,15 +190,11 @@ void ParallelEngine::run(FnView root) {
       }
     }
     --w.suppress;
-    delete done.seg0;
 
+    // The root's implicit sync drained the shard, and nothing records
+    // outside a frame.
+    RADER_DCHECK(root_seg.events.empty());
     if (tool_ != nullptr) {
-      if (!done.ev0->empty()) {
-        // Events recorded after the last root-level sync.
-        metrics::bump(metrics::Counter::kShardDrains);
-        replayer_->feed(*done.ev0);
-      }
-      delete done.ev0;
       replayer_->end();
       replayer_.reset();
     }
@@ -234,17 +223,11 @@ void ParallelEngine::spawn_task(Task task) {
   WorkerState& w = self();
   RADER_CHECK_MSG(!w.frames.empty(), "spawn outside of ParallelEngine::run");
   FrameCtx& f = w.frames.back();
-  JoinItem item;
-  item.child = std::make_unique<ChildRecord>(std::move(task));
-  item.segment = std::make_unique<Hypermap>();
-  f.cur = item.segment.get();  // continuation runs in a fresh segment
-  if (tool_ != nullptr) {
-    item.segment_ev = std::make_unique<EventShard>();
-    f.cur_ev = item.segment_ev.get();
-  }
-  ChildRecord* rec = item.child.get();
-  f.items.push_back(std::move(item));
-  w.deque.push(rec);
+  auto join = std::make_unique<Join>(std::move(task));
+  Join* j = join.get();
+  f.cur = &j->cont;  // the continuation runs in a fresh segment
+  f.items.push_back(std::move(join));
+  w.deque.push(j);
   metrics::gauge_add(metrics::Gauge::kDequeSize, 1);
   wake_helpers();
 }
@@ -253,14 +236,8 @@ void ParallelEngine::call_inline(FnView fn) {
   WorkerState& w = self();
   RADER_CHECK_MSG(!w.frames.empty(), "call outside of ParallelEngine::run");
   FrameCtx frame;
-  frame.seg0 = w.frames.back().cur;  // series: share the parent's segment
-  frame.owns_seg0 = false;
-  frame.cur = frame.seg0;
-  if (tool_ != nullptr) {
-    frame.ev0 = w.frames.back().cur_ev;  // series: share the shard too
-    frame.owns_ev0 = false;
-    frame.cur_ev = frame.ev0;
-  }
+  // Series: the callee shares its parent's current segment.
+  frame.seg0 = frame.cur = w.frames.back().cur;
   w.frames.push_back(std::move(frame));
   record(w, ShardEvent{ShardEvent::Kind::kFrameEnter,
                        static_cast<std::uint8_t>(FrameKind::kCalled)});
@@ -279,18 +256,11 @@ void ParallelEngine::call_inline(FnView fn) {
   w.frames.pop_back();
 }
 
-void ParallelEngine::execute_child(WorkerState& w, ChildRecord* rec) {
+void ParallelEngine::execute_child(WorkerState& w, Join* join) {
+  // The child's frame runs straight in the join record's segment, which is
+  // published to the joining worker with the done flag.
   FrameCtx frame;
-  frame.seg0 = new Hypermap();
-  frame.owns_seg0 = true;
-  frame.cur = frame.seg0;
-  if (tool_ != nullptr) {
-    // Record straight into the join record: the shard is published to the
-    // joining worker with the done flag, like the view map.
-    frame.ev0 = &rec->result_ev;
-    frame.owns_ev0 = false;
-    frame.cur_ev = frame.ev0;
-  }
+  frame.seg0 = frame.cur = &join->child;
   w.frames.push_back(std::move(frame));
   metrics::bump(metrics::Counter::kEngineTasks);
   record(w, ShardEvent{ShardEvent::Kind::kFrameEnter,
@@ -302,18 +272,15 @@ void ParallelEngine::execute_child(WorkerState& w, ChildRecord* rec) {
           : kInvalidFrame;
   trace::emit(trace::EventKind::kFrameEnter, tfid, kInvalidFrame, 0,
               static_cast<std::uint8_t>(FrameKind::kSpawned));
-  rec->task();
+  join->task();
   do_sync(w);  // implicit sync before "returning"
   record(w, ShardEvent{ShardEvent::Kind::kFrameReturn,
                        static_cast<std::uint8_t>(FrameKind::kSpawned)});
   trace::emit(trace::EventKind::kFrameReturn, tfid, kInvalidFrame, 0,
               static_cast<std::uint8_t>(FrameKind::kSpawned));
 
-  FrameCtx done = std::move(w.frames.back());
   w.frames.pop_back();
-  rec->result = std::move(*done.seg0);
-  delete done.seg0;
-  rec->done.store(true, std::memory_order_release);
+  join->done.store(true, std::memory_order_release);
 }
 
 void ParallelEngine::sync() {
@@ -333,12 +300,12 @@ void ParallelEngine::do_sync(WorkerState& w) {
     for (std::size_t i = 0;; ++i) {
       FrameCtx& f = w.frames[frame_idx];
       if (i >= f.items.size()) break;
-      ChildRecord* child = f.items[i].child.get();
-      while (!child->done.load(std::memory_order_acquire)) {
+      const Join& join = *f.items[i];
+      while (!join.done.load(std::memory_order_acquire)) {
         if (void* task = w.deque.pop()) {
           metrics::gauge_add(metrics::Gauge::kDequeSize, -1);
-          execute_child(w, static_cast<ChildRecord*>(task));
-        } else if (ChildRecord* stolen = steal(w, &victim)) {
+          execute_child(w, static_cast<Join*>(task));
+        } else if (Join* stolen = steal(w, &victim)) {
           note_steal(victim);
           execute_child(w, stolen);
         } else {
@@ -347,49 +314,41 @@ void ParallelEngine::do_sync(WorkerState& w) {
       }
     }
   }
-  // Fold in serial order: seg0 ⊗ child₁ ⊗ seg₁ ⊗ child₂ ⊗ seg₂ ⊗ …
+  // Fold in serial order: seg0 ⊗ child₁ ⊗ cont₁ ⊗ child₂ ⊗ cont₂ ⊗ …
   // The event shards splice in the same positional order, which is exactly
   // the depth-first order the serial engine would have visited: everything
   // a child did sits at its spawn point, before the continuation.
   FrameCtx& f = w.frames.back();
   const bool had_items = !f.items.empty();
   ++w.suppress;  // user Reduce code below has no serial-no-steal counterpart
-  for (auto& item : f.items) {
-    fold_map(*f.seg0, item.child->result);
-    fold_map(*f.seg0, *item.segment);
-    if (tool_ != nullptr) {
-      f.ev0->insert(f.ev0->end(), item.child->result_ev.begin(),
-                    item.child->result_ev.end());
-      f.ev0->insert(f.ev0->end(), item.segment_ev->begin(),
-                    item.segment_ev->end());
-    }
+  for (auto& join : f.items) {
+    fold(*f.seg0, join->child);
+    fold(*f.seg0, join->cont);
   }
   --w.suppress;
   f.items.clear();
   f.cur = f.seg0;
-  if (tool_ != nullptr) {
-    f.cur_ev = f.ev0;
-    // The serial engine's sync is a no-op (no event) when nothing was
-    // spawned since the last sync; mirror that exactly.
-    if (had_items) {
-      record(w, ShardEvent{ShardEvent::Kind::kSync});
-    }
-    // Root-level syncs on worker 0 bound shard memory and detector latency:
-    // everything up to here is final depth-first prefix, so replay it now.
-    if (w.index == 0 && w.frames.size() == 1 && !f.ev0->empty()) {
-      metrics::bump(metrics::Counter::kShardDrains);
-      replayer_->feed(*f.ev0);
-      f.ev0->clear();
-    }
+  // The serial engine's sync is a no-op (no event) when nothing was spawned
+  // since the last sync; mirror that exactly.
+  if (had_items) record(w, ShardEvent{ShardEvent::Kind::kSync});
+  // Root-level syncs on worker 0 bound shard memory and detector latency:
+  // everything up to here is final depth-first prefix, so replay it now.
+  // (Without a tool the shard stays empty.)
+  if (w.index == 0 && w.frames.size() == 1 && !f.seg0->events.empty()) {
+    metrics::bump(metrics::Counter::kShardDrains);
+    replayer_->feed(f.seg0->events);
+    f.seg0->events.clear();
   }
   trace::emit(trace::EventKind::kSync, kInvalidFrame);
 }
 
-void ParallelEngine::fold_map(Hypermap& acc, Hypermap& right) {
-  for (auto& [h, view] : right) {
-    auto it = acc.find(h);
-    if (it == acc.end()) {
-      acc.emplace(h, view);  // transplant (preserves leftmost pointers)
+void ParallelEngine::fold(Segment& acc, const Segment& right) {
+  acc.events.insert(acc.events.end(), right.events.begin(),
+                    right.events.end());
+  for (const auto& [h, view] : right.views) {
+    auto it = acc.views.find(h);
+    if (it == acc.views.end()) {
+      acc.views.emplace(h, view);  // transplant (preserves leftmost pointers)
       continue;
     }
     HyperobjectBase* r;
@@ -412,17 +371,15 @@ void ParallelEngine::fold_map(Hypermap& acc, Hypermap& right) {
     r->hyper_destroy(view);
     trace::emit(trace::EventKind::kReduceEnd, kInvalidFrame, h, 0);
   }
-  right.clear();
 }
 
-ReducerId ParallelEngine::get_or_register(HyperobjectBase* r, void* leftmost) {
+ReducerId ParallelEngine::get_or_register(HyperobjectBase* r) {
   std::lock_guard<std::mutex> lock(reg_mu_);
   auto it = reducer_ids_.find(r);
   if (it != reducer_ids_.end()) return it->second;
   const auto h = static_cast<ReducerId>(reducers_.size());
   reducers_.push_back(r);
   reducer_ids_.emplace(r, h);
-  (void)leftmost;  // lazily-bound leftmost views fold in at run() end
   return h;
 }
 
@@ -431,10 +388,10 @@ void ParallelEngine::register_reducer(HyperobjectBase* r, void* leftmost_view,
   if (!running_.load(std::memory_order_acquire) || tl_worker_ == nullptr) {
     return;  // created outside the computation: bound lazily on first use
   }
-  const ReducerId h = get_or_register(r, leftmost_view);
+  const ReducerId h = get_or_register(r);
   // The leftmost view lives in the creating strand's current segment and
   // folds leftward from there, exactly like the serial engine's base view.
-  (*self().frames.back().cur)[h] = leftmost_view;
+  self().frames.back().cur->views[h] = leftmost_view;
   trace::emit(trace::EventKind::kViewCreate, kInvalidFrame, 0, h, /*aux=*/0);
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kCreate)};
@@ -457,7 +414,7 @@ void ParallelEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
     // joins all its updaters; at that point its only view is in the current
     // segment.
     if (!self().frames.empty()) {
-      self().frames.back().cur->erase(h);
+      self().frames.back().cur->views.erase(h);
     }
     reducers_[h] = nullptr;
     reducer_ids_.erase(it);
@@ -470,7 +427,7 @@ void ParallelEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
 }
 
 void* ParallelEngine::current_view(HyperobjectBase* r, SrcTag) {
-  return bound_view(self(), r, get_or_register(r, r->hyper_leftmost()));
+  return bound_view(self(), r, get_or_register(r));
 }
 
 void* ParallelEngine::bound_view(WorkerState& w, HyperobjectBase* r,
@@ -481,7 +438,7 @@ void* ParallelEngine::bound_view(WorkerState& w, HyperobjectBase* r,
   ShardEvent bind{ShardEvent::Kind::kBind};
   bind.slot = h;
   record(w, bind);
-  Hypermap& m = *w.frames.back().cur;
+  Hypermap& m = w.frames.back().cur->views;
   auto it = m.find(h);
   if (it != m.end()) return it->second;
   // Identity creation runs user code, but a serial no-steal execution never
@@ -500,7 +457,7 @@ void ParallelEngine::reducer_read(HyperobjectBase* r, ReducerOp op,
       tl_worker_ == nullptr) {
     return;
   }
-  const ReducerId h = get_or_register(r, r->hyper_leftmost());
+  const ReducerId h = get_or_register(r);
   ShardEvent e{ShardEvent::Kind::kReducerOp, static_cast<std::uint8_t>(op)};
   e.slot = h;
   e.label = tag.label;
@@ -509,7 +466,7 @@ void ParallelEngine::reducer_read(HyperobjectBase* r, ReducerOp op,
 
 void* ParallelEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
   WorkerState& w = self();
-  const ReducerId h = get_or_register(r, r->hyper_leftmost());
+  const ReducerId h = get_or_register(r);
   void* view = bound_view(w, r, h);
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kUpdate)};

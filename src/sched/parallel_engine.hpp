@@ -8,21 +8,22 @@
 // support that a library cannot express.
 //
 // Reducer determinism under child stealing is achieved with ordered view
-// segments rather than Cilk's steal-lazy hypermaps (see DESIGN.md §2): each
-// frame keeps, in serial order, one join item per spawn — the child's
-// folded view map plus the continuation segment that follows it — and the
-// sync folds them left-to-right with the monoid's reduce.  Because the fold
+// segments rather than Cilk's steal-lazy hypermaps (see DESIGN.md §2).  A
+// strand segment is one record: its views and its event shard.  Each frame
+// keeps, in serial order, one join record per spawn — the child's folded
+// segment plus the continuation segment that follows it — and the sync
+// folds them left-to-right with the monoid's reduce.  Because the fold
 // order is positional, not temporal, any schedule produces the serial
 // projection's value for associative monoids; views are created lazily (on
 // first update within a segment), so update-free segments cost nothing.
 //
 // Detection (set_tool): the serial detectors also run ON this engine, not
-// just beside it.  Each segment records its instrumentation events into a
-// private shard exactly as it keeps a private hypermap, joins splice child
-// shards positionally alongside the view fold, and worker 0 drains the root
-// frame's shard through a ShardReplayer at every root-level sync — so an
-// attached ParallelTool receives the byte-identical event stream of a
-// serial no-steal run while the program executes on all cores
+// just beside it.  With a tool attached, each segment records its
+// instrumentation events into its shard (empty otherwise), the sync splices
+// the shards in the same positional order as the views, and worker 0 drains
+// the root frame's shard through a ShardReplayer at every root-level sync —
+// so the tool receives the byte-identical control and reducer event stream
+// of a serial no-steal run while the program executes on all cores
 // (tool/shard.hpp has the full argument, DESIGN.md §5 the design notes).
 #pragma once
 
@@ -45,7 +46,7 @@
 
 namespace rader {
 
-class ParallelTool;
+class Tool;
 
 class ParallelEngine final : public Engine {
  public:
@@ -54,11 +55,12 @@ class ParallelEngine final : public Engine {
   explicit ParallelEngine(unsigned workers = 0);
   ~ParallelEngine() override;
 
-  /// Attach `tool` (nullptr to detach) for subsequent run()s: its serial
-  /// Tool callbacks are invoked on worker 0, in the depth-first order of the
-  /// computation, byte-identical to a serial no-steal run of the same
-  /// program.  The tool must outlive the runs; not callable mid-run.
-  void set_tool(ParallelTool* tool);
+  /// Attach `tool` (nullptr to detach) for subsequent run()s: its callbacks
+  /// are invoked on worker 0, in the depth-first order of the computation,
+  /// byte-identical to a serial no-steal run of the same program.  Only
+  /// control and reducer events arrive: on_access and on_clear never do.
+  /// The tool must outlive the runs; not callable mid-run.
+  void set_tool(Tool* tool);
 
   /// Execute `root` to completion using all workers.  The calling thread
   /// participates; not reentrant.
@@ -79,8 +81,8 @@ class ParallelEngine final : public Engine {
   void spawn_task(Task task) override;
   void call_inline(FnView fn) override;
   void sync() override;
-  // A ParallelTool gets control and reducer events only: memory accesses,
-  // shadow clears and the end of Update code record nothing.
+  // A tool gets control and reducer events only: memory accesses, shadow
+  // clears and the end of Update code record nothing.
   void access(AccessKind, std::uintptr_t, std::size_t, SrcTag) override {}
   void clear_shadow(std::uintptr_t, std::size_t) override {}
   void register_reducer(HyperobjectBase* r, void* leftmost_view,
@@ -96,32 +98,30 @@ class ParallelEngine final : public Engine {
   // deterministic (registration order) without a sort at every fold.
   using Hypermap = std::map<ReducerId, void*>;
 
-  struct ChildRecord {
-    explicit ChildRecord(Task t) : task(std::move(t)) {}
-    Task task;
-    std::atomic<bool> done{false};
-    Hypermap result;      // child's folded views, published with `done`
-    EventShard result_ev;  // child's spliced event shard, ditto
+  // One strand segment: its views and, with a tool attached, its events.
+  // A segment has one executor at a time, so neither needs a lock.
+  struct Segment {
+    Hypermap views;
+    EventShard events;
   };
 
-  struct JoinItem {
-    std::unique_ptr<ChildRecord> child;
-    std::unique_ptr<Hypermap> segment;  // continuation segment after it
-    std::unique_ptr<EventShard> segment_ev;  // its events (tool attached)
+  // One spawn.  The child's frame executes straight into `child`, which is
+  // published to the joining worker with `done`; `cont` is the continuation
+  // segment that follows the spawn in serial order.
+  struct Join {
+    explicit Join(Task t) : task(std::move(t)) {}
+    Task task;
+    std::atomic<bool> done{false};
+    Segment child;
+    Segment cont;
   };
 
   struct FrameCtx {
-    Hypermap* seg0 = nullptr;  // leftmost segment (aliased for called frames)
-    bool owns_seg0 = false;
-    Hypermap* cur = nullptr;   // segment the worker is currently updating
-    // Event-shard mirror of the two pointers above; null when no tool is
-    // attached.  ev0 aliases the parent's current shard for called frames
-    // and the ChildRecord's shard for spawned ones (owns_ev0 only for the
-    // root frame).
-    EventShard* ev0 = nullptr;
-    bool owns_ev0 = false;
-    EventShard* cur_ev = nullptr;
-    std::vector<JoinItem> items;
+    // Leftmost segment: the join's `child` for a spawned frame, the
+    // parent's current segment for a called one, run()'s local for the root.
+    Segment* seg0 = nullptr;
+    Segment* cur = nullptr;  // segment the worker is currently in
+    std::vector<std::unique_ptr<Join>> items;
   };
 
   struct WorkerState {
@@ -147,21 +147,22 @@ class ParallelEngine final : public Engine {
 
   void helper_loop(unsigned index);
   /// Take a task from a random victim's deque, naming it in `*victim`.
-  ChildRecord* steal(WorkerState& w, std::size_t* victim);
+  Join* steal(WorkerState& w, std::size_t* victim);
   /// Account a successful steal on the calling thread's sinks.
   void note_steal(std::size_t victim);
-  void execute_child(WorkerState& w, ChildRecord* rec);
+  void execute_child(WorkerState& w, Join* join);
   void do_sync(WorkerState& w);
-  void fold_map(Hypermap& acc, Hypermap& right);
+  /// Fold `right`'s views into `acc`'s and append its events to `acc`'s.
+  void fold(Segment& acc, const Segment& right);
   void wake_helpers();
   /// Any other worker's deque holds a task (racy; a hint for sleepers).
   bool work_visible(const WorkerState& w) const;
 
-  /// Append `e` to the calling worker's current segment shard (no-op
-  /// without a tool, under suppression, or outside a frame).
+  /// Append `e` to the calling worker's current segment (no-op without a
+  /// tool, under suppression, or outside a frame).
   void record(WorkerState& w, const ShardEvent& e);
 
-  ReducerId get_or_register(HyperobjectBase* r, void* leftmost);
+  ReducerId get_or_register(HyperobjectBase* r);
   /// The view of registered reducer `h` in `w`'s current segment, created
   /// lazily; records the kBind marker first.
   void* bound_view(WorkerState& w, HyperobjectBase* r, ReducerId h);
@@ -181,7 +182,7 @@ class ParallelEngine final : public Engine {
 
   // Written between runs only; read by workers during a run (ordered by the
   // deque push/steal that hands them their first task).
-  ParallelTool* tool_ = nullptr;
+  Tool* tool_ = nullptr;
   std::unique_ptr<ShardReplayer> replayer_;  // worker 0 only
 
   std::mutex reg_mu_;

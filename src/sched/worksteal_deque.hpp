@@ -8,7 +8,7 @@
 //   * the circular buffer grows geometrically; retired buffers are kept
 //     until destruction so racing thieves never read freed memory.
 //
-// Elements are raw pointers (the scheduler stores ChildRecord*); ownership
+// Elements are raw pointers (the scheduler stores Join*); ownership
 // of the pointee stays with the scheduler's join records.
 #pragma once
 

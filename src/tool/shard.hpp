@@ -4,20 +4,22 @@
 // (serial-projection) order as a side effect of executing in that order.  A
 // work-stealing execution visits strands in schedule-dependent order, so the
 // parallel engine cannot call a serial detector directly — instead each
-// execution segment records the SCHEDULE-INDEPENDENT events of its strands
-// into a private append-only shard, and joins splice child shards into the
-// parent's shard at the exact position of the spawn, mirroring the engine's
-// positional hypermap fold:
+// strand segment records the SCHEDULE-INDEPENDENT events of its strands
+// into its own append-only shard, kept beside the segment's views, and the
+// sync splices child shards into the parent's shard at the exact position
+// of the spawn, in the same positional fold as the views:
 //
-//     shard(F) = ev0 ⊕ shard(child₁) ⊕ seg₁ ⊕ shard(child₂) ⊕ seg₂ ⊕ …
+//     shard(F) = events(seg₀) ⊕ shard(child₁) ⊕ events(cont₁)
+//                             ⊕ shard(child₂) ⊕ events(cont₂) ⊕ …
 //
-// Splicing at every sync re-creates the depth-first event order regardless
-// of which workers executed what, so replaying the root frame's shard
-// through a Tool delivers the byte-identical callback sequence of a serial
-// NO-STEAL run over the same DAG (the stream Peer-Set is exact on,
-// Theorem 4).  Shard events therefore carry no frame or view IDs — those are
-// serial-order artifacts, minted by the replayer below in depth-first order
-// exactly as runtime/serial_engine.cpp would have.
+// where seg₀ is F's first segment and contᵢ the continuation segment after
+// the i-th spawn.  Splicing at every sync re-creates the depth-first event
+// order regardless of which workers executed what, so replaying the root
+// frame's shard through a Tool delivers the byte-identical callback sequence
+// of a serial NO-STEAL run over the same DAG (the stream Peer-Set is exact
+// on, Theorem 4).  Shard events therefore carry no frame or view IDs — those
+// are serial-order artifacts, minted by the replayer below in depth-first
+// order exactly as runtime/serial_engine.cpp would have.
 //
 // Reducer IDs need the same treatment: the parallel engine numbers reducers
 // in first-REGISTRATION order (racy, schedule-dependent), while the serial

@@ -152,18 +152,6 @@ class ToolChain final : public Tool {
   std::vector<Tool*> tools_;
 };
 
-/// Marker type for tools attached to the PARALLEL engine
-/// (sched/parallel_engine.hpp).  The engine records per-segment event shards
-/// during a real work-stealing execution and replays the spliced stream —
-/// byte-identical to a serial no-steal run — through the Tool callbacks on
-/// worker 0 (tool/shard.hpp).  The callbacks themselves are therefore never
-/// invoked concurrently; a serial detector works unchanged behind this
-/// surface (core/peerset.hpp's ParallelPeerSet).
-///
-/// A ParallelTool gets control and reducer events only: the engine records
-/// no memory accesses or shadow clears, which Peer-Set never consumes.
-class ParallelTool : public Tool {};
-
 /// The Figure-8 baseline: identical instrumentation, empty callbacks.
 using EmptyTool = Tool;
 

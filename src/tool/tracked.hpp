@@ -55,7 +55,6 @@ class tracked {
 
   /// Unannotated access (for initialization/verification outside the run).
   T raw() const { return value_; }
-  T& raw_ref() { return value_; }
 
  private:
   T value_{};

@@ -5,7 +5,8 @@
 // the fuzzer's distilled reproducer corpus.  This is the tentpole contract
 // of the shard replay design (tool/shard.hpp): the event stream worker 0
 // replays is byte-identical to the serial projection's, so anything short of
-// exact equality is a splice-order or renumbering bug.
+// exact equality is a splice-order or renumbering bug.  The last case
+// checks the stream itself, callback by callback, not just its verdicts.
 //
 // Built twice (tests/CMakeLists.txt): the fast gate runs a small random
 // batch, the stress tier the full 200-program battery; the
@@ -16,6 +17,7 @@
 // pokes) that are the detector's subject matter, not bugs in the engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <tuple>
@@ -26,6 +28,10 @@
 #include "dag/program_serial.hpp"
 #include "dag/random_program.hpp"
 #include "fuzz/differ.hpp"
+#include "runtime/run.hpp"
+#include "sched/parallel_engine.hpp"
+#include "spec/steal_spec.hpp"
+#include "tool/tool.hpp"
 
 #ifndef RADER_PAR_EQ_DEFAULT
 #define RADER_PAR_EQ_DEFAULT 8
@@ -64,6 +70,74 @@ std::size_t program_count() {
     if (n > 0) return n;
   }
   return RADER_PAR_EQ_DEFAULT;
+}
+
+// Every callback the parallel engine delivers, with its arguments, one line
+// each.  on_access and on_clear are not recorded: the parallel engine
+// records neither (sched/parallel_engine.hpp).
+class StreamRecorder final : public Tool {
+ public:
+  std::vector<std::string> lines;
+
+  void on_run_begin() override { lines.push_back("run_begin"); }
+  void on_run_end() override { lines.push_back("run_end"); }
+  void on_frame_enter(FrameId f, FrameId p, FrameKind k, ViewId v) override {
+    add("enter", f, p, static_cast<int>(k), v);
+  }
+  void on_frame_return(FrameId f, FrameId p, FrameKind k) override {
+    add("return", f, p, static_cast<int>(k));
+  }
+  void on_sync(FrameId f) override { add("sync", f); }
+  void on_steal(FrameId f, std::uint32_t c, ViewId v) override {
+    add("steal", f, c, v);
+  }
+  void on_reduce(FrameId f, ViewId l, ViewId r) override {
+    add("reduce", f, l, r);
+  }
+  void on_reducer_op(ReducerOp op, ReducerId h, SrcTag tag) override {
+    add("reducer_op", static_cast<int>(op), h);
+    lines.back() += std::string(" ") + tag.label;
+  }
+
+ private:
+  template <typename... Args>
+  void add(const char* name, Args... args) {
+    std::string line = name;
+    ((line += " " + std::to_string(args)), ...);
+    lines.push_back(std::move(line));
+  }
+};
+
+template <typename Program>
+std::vector<std::string> serial_stream(Program& program) {
+  StreamRecorder recorder;
+  spec::NoSteal no_steal;
+  run_serial([&] { program(); }, &recorder, &no_steal);
+  return std::move(recorder.lines);
+}
+
+template <typename Program>
+std::vector<std::string> parallel_stream(Program& program, unsigned jobs) {
+  StreamRecorder recorder;
+  ParallelEngine engine(jobs);
+  engine.set_tool(&recorder);
+  engine.run([&] { program(); });
+  return std::move(recorder.lines);
+}
+
+// Reports the first differing callback rather than two whole streams.
+void expect_same_stream(const std::vector<std::string>& serial,
+                        const std::vector<std::string>& par, unsigned jobs) {
+  const std::size_t n = std::min(serial.size(), par.size());
+  std::size_t i = 0;
+  while (i < n && serial[i] == par[i]) ++i;
+  if (i == n && serial.size() == par.size()) return;
+  ADD_FAILURE() << "jobs=" << jobs << ": streams differ at callback " << i
+                << " of " << serial.size() << " (serial) / " << par.size()
+                << " (parallel): serial \""
+                << (i < serial.size() ? serial[i] : "<end>")
+                << "\", parallel \"" << (i < par.size() ? par[i] : "<end>")
+                << "\"";
 }
 
 TEST(ParallelEquivalence, LitmusSuiteIsExactAtEveryJobsValue) {
@@ -139,6 +213,48 @@ TEST(ParallelEquivalence, FuzzCorpusReplaysAreExactAtEveryJobsValue) {
       EXPECT_EQ(par.view_read_count(), serial.view_read_count())
           << "jobs=" << jobs;
       EXPECT_EQ(race_tuples(par), race_tuples(serial)) << "jobs=" << jobs;
+    }
+  }
+}
+
+// The replayed stream is the serial no-steal stream, callback by callback
+// and argument by argument, on the same inputs as the verdict checks above.
+TEST(ParallelEquivalence, ReplayedStreamEqualsTheSerialStream) {
+  std::size_t litmus = 0;
+  for (const litmus::Case& c : litmus::all_cases()) {
+    if (c.name == kUnsafeUnderRealParallelism) continue;
+    SCOPED_TRACE(c.name);
+    const auto serial = serial_stream(c.program);
+    for (const unsigned jobs : kJobs) {
+      expect_same_stream(serial, parallel_stream(c.program, jobs), jobs);
+    }
+    ++litmus;
+  }
+  EXPECT_GE(litmus, 20u) << "litmus corpus shrank unexpectedly";
+
+  const std::size_t n = program_count();
+  for (std::size_t i = 0; i < n; ++i) {
+    const dag::RandomProgramParams params =
+        fuzz::fuzz_params(/*seed=*/0x9a7a11e1u + 17 * i);
+    dag::RandomProgram program(params);
+    SCOPED_TRACE("seed=" + std::to_string(params.seed));
+    const auto serial = serial_stream(program);
+    for (const unsigned jobs : kJobs) {
+      expect_same_stream(serial, parallel_stream(program, jobs), jobs);
+    }
+  }
+
+  for (const char* name : {"fig6_shadow_slot.rprog", "view_read_race.rprog",
+                           "reduce_vs_oblivious.rprog"}) {
+    std::string error;
+    auto repro = dag::load_reproducer(
+        std::string(RADER_FUZZ_CORPUS_DIR) + "/" + name, &error);
+    ASSERT_TRUE(repro.has_value()) << name << ": " << error;
+    dag::RandomProgram program(repro->tree, repro->params);
+    SCOPED_TRACE(name);
+    const auto serial = serial_stream(program);
+    for (const unsigned jobs : kJobs) {
+      expect_same_stream(serial, parallel_stream(program, jobs), jobs);
     }
   }
 }

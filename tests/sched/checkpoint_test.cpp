@@ -31,6 +31,7 @@
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/trace.hpp"
+#include "tool/tool.hpp"
 
 namespace rader {
 namespace {
@@ -322,6 +323,75 @@ TEST(EngineCheckpoint, ReplayPhaseClosesWhenTheRunGoesLive) {
   ASSERT_EQ(profiler.root().children.size(), 1u);
   EXPECT_STREQ(profiler.root().children[0]->name, "replay");
   EXPECT_EQ(profiler.root().children[0]->count, 1u);
+}
+
+// Counts every callback; attached to a resume, it stands in for the fork.
+class CallbackCounter final : public Tool {
+ public:
+  std::size_t calls = 0;
+
+  void on_run_begin() override { ++calls; }
+  void on_run_end() override { ++calls; }
+  void on_frame_enter(FrameId, FrameId, FrameKind, ViewId) override {
+    ++calls;
+  }
+  void on_frame_return(FrameId, FrameId, FrameKind) override { ++calls; }
+  void on_sync(FrameId) override { ++calls; }
+  void on_steal(FrameId, std::uint32_t, ViewId) override { ++calls; }
+  void on_reduce(FrameId, ViewId, ViewId) override { ++calls; }
+  void on_access(AccessKind, std::uintptr_t, std::size_t, bool, ViewId,
+                 SrcTag) override {
+    ++calls;
+  }
+  void on_reducer_op(ReducerOp, ReducerId, SrcTag) override { ++calls; }
+  void on_clear(std::uintptr_t, std::size_t) override { ++calls; }
+};
+
+int g_drift_runs = 0;
+
+/// Writes a different slot on every run, as pbfs's heap-allocated state
+/// lands elsewhere from one run to the next, so a resume can never verify.
+/// Its reducer's destructor runs while the divergence unwinds.
+void drifting_program() {
+  reducer<monoid::op_add<long>> sum(SrcTag{"drift sum"});
+  const int slot = g_drift_runs++ % 8;
+  shadow_write(&g_slots[slot], sizeof(int), SrcTag{"drifting write"});
+  for (int i = 0; i < 3; ++i) {
+    spawn([&] { sum += 1; });
+  }
+  sync();
+}
+
+// A resume whose go-live verification fails delivers nothing: the fork gets
+// no callback, neither before the throw nor while it unwinds the user frames.
+TEST(EngineCheckpoint, DivergedResumeDeliversNoCallback) {
+  spec::StealAll all;
+  CallbackCounter straight_tool;
+  DecisionTrail trail;
+  EngineCheckpoint ck;
+  bool captured = false;
+  {
+    SerialEngine engine(&straight_tool, &all);
+    engine.set_decision_trail(&trail);
+    engine.set_point_hook([&](std::size_t idx, const spec::PointCtx&) {
+      if (idx != 1 || captured) return;
+      engine.capture(&ck);
+      captured = true;
+    });
+    engine.run([] { drifting_program(); });
+  }
+  ASSERT_TRUE(captured);
+
+  CallbackCounter fork;
+  SerialEngine engine(&fork, &all);
+  SerialEngine::ResumePlan plan;
+  plan.replay = &trail;
+  plan.replay_count = trail.size();
+  plan.live_from = ck.point;
+  plan.expect = &ck;
+  EXPECT_THROW(engine.resume_from([] { drifting_program(); }, plan),
+               ResumeDiverged);
+  EXPECT_EQ(fork.calls, 0u);
 }
 
 TEST(DetectorFork, ForkedDetectorIsIndependentOfTheOriginal) {

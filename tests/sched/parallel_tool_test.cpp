@@ -1,10 +1,11 @@
-// On-the-fly detection inside the work-stealing engine: a ParallelTool
-// attached via ParallelEngine::set_tool receives the serial no-steal event
-// stream on worker 0 while the program runs on all cores, per-worker
-// metrics fold into the caller's registry after every run (nothing is
-// dropped at teardown), and trace buffers outlive the engine because the
-// Session owns them.  Everything here is race-free by construction — this
-// file runs under the TSan CI slice (ctest -L sched).
+// On-the-fly detection inside the work-stealing engine: a Tool attached via
+// ParallelEngine::set_tool (here Peer-Set, as check_parallel attaches it)
+// receives the serial no-steal event stream on worker 0 while the program
+// runs on all cores, per-worker metrics fold into the caller's registry
+// after every run (nothing is dropped at teardown), and trace buffers
+// outlive the engine because the Session owns them.  Everything here is
+// race-free by construction — this file runs under the TSan CI slice
+// (ctest -L sched).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,7 +118,7 @@ TEST(ParallelTool, WorkerMetricsFoldIntoTheCallersRegistry) {
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
     metrics::Registry outer;
     RaceLog log;
-    ParallelPeerSet tool(&log);
+    PeerSetDetector tool(&log);
     {
       metrics::Scope scope(&outer);
       ParallelEngine engine(jobs);
