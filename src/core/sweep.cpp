@@ -341,6 +341,9 @@ SweepMonitor::SweepMonitor(SweepScheduler& sched)
       last_heartbeat_(start_),
       last_change_(start_) {
   rate_.sample(start_, 0);  // ETA baseline (first interval)
+  // The family starts whole, so the depth gauge's max is its size however
+  // late the first tick comes.
+  observe();
 }
 
 namespace {
