@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/peerset.hpp"
@@ -333,6 +334,44 @@ std::string record_text(const Record& r) {
   return os.str();
 }
 
+/// The replay's report of a stored view-read race: the same dedup
+/// identity, since reducer ids are dense per run and so reproduce exactly
+/// under the same program and spec.
+const ViewReadRace* find_fresh(const RaceLog& fresh,
+                               const ViewReadRace& stored) {
+  for (const auto& f : fresh.view_read_races()) {
+    if (f.key() == stored.key()) return &f;
+  }
+  return nullptr;
+}
+
+/// The replay's report of a stored determinacy race: the exact identity
+/// first; heap addresses can shift between the original process and the
+/// replay, so then the address-insensitive identity.
+const DeterminacyRace* find_fresh(const RaceLog& fresh,
+                                  const DeterminacyRace& stored) {
+  for (const auto& f : fresh.determinacy_races()) {
+    if (f.key() == stored.key()) return &f;
+  }
+  const auto loose = [](const DeterminacyRace& r) {
+    return std::tie(r.current_kind, r.current_view_aware, r.prior_was_write,
+                    r.current_label);
+  };
+  for (const auto& f : fresh.determinacy_races()) {
+    if (loose(f) == loose(stored)) return &f;
+  }
+  return nullptr;
+}
+
+bool oracle_confirms(const dag::OracleResult& oracle, const ViewReadRace& r) {
+  return oracle.racing_reducers.count(r.reducer) != 0;
+}
+
+bool oracle_confirms(const dag::OracleResult& oracle,
+                     const DeterminacyRace& r) {
+  return oracle.racing_addrs.count(r.addr) != 0;
+}
+
 }  // namespace
 
 std::size_t annotate_provenance(RaceLog& log,
@@ -346,18 +385,17 @@ std::size_t annotate_provenance(RaceLog& log,
     std::size_t index;
   };
   std::map<std::string, std::vector<Ref>> groups;
+  const auto group = [&groups](const auto& races, bool view_read) {
+    for (std::size_t i = 0; i < races.size(); ++i) {
+      if (!races[i].provenance_json.empty()) continue;
+      const std::string& handle = races[i].found_under;
+      groups[handle.empty() ? "no-steals" : handle].push_back({view_read, i});
+    }
+  };
   const auto& vr = log.view_read_races();
   const auto& dr = log.determinacy_races();
-  for (std::size_t i = 0; i < vr.size(); ++i) {
-    if (!vr[i].provenance_json.empty()) continue;
-    groups[vr[i].found_under.empty() ? "no-steals" : vr[i].found_under]
-        .push_back({true, i});
-  }
-  for (std::size_t i = 0; i < dr.size(); ++i) {
-    if (!dr[i].provenance_json.empty()) continue;
-    groups[dr[i].found_under.empty() ? "no-steals" : dr[i].found_under]
-        .push_back({false, i});
-  }
+  group(vr, true);
+  group(dr, false);
 
   std::size_t annotated = 0;
   for (const auto& [handle, refs] : groups) {
@@ -397,65 +435,27 @@ std::size_t annotate_provenance(RaceLog& log,
       return confirmed ? "confirmed" : "unconfirmed";
     };
 
+    // Find each stored race in the replay, which reproduced it with fresh
+    // frame ids, and describe its strands.
+    const auto describe = [&](const auto& stored, Record* record) {
+      const auto* match = find_fresh(fresh, stored);
+      if (match == nullptr || !build_record(rec, match->prior_frame,
+                                            match->current_frame, record)) {
+        return false;
+      }
+      record->oracle =
+          oracle_verdict(have_oracle && oracle_confirms(oracle, *match));
+      return true;
+    };
     for (const Ref& ref : refs) {
       Record record;
       record.spec = handle;
-      bool built = false;
       if (ref.view_read) {
-        const ViewReadRace& stored = vr[ref.index];
-        // Match by dedup identity; reducer ids are dense per run, so they
-        // reproduce exactly under the same program and spec.
-        const ViewReadRace* match = nullptr;
-        for (const auto& f : fresh.view_read_races()) {
-          if (f.reducer == stored.reducer &&
-              f.prior_label == stored.prior_label &&
-              f.current_label == stored.current_label) {
-            match = &f;
-            break;
-          }
-        }
-        if (match == nullptr) continue;
-        built = build_record(rec, match->prior_frame, match->current_frame,
-                             &record);
-        record.oracle = oracle_verdict(
-            have_oracle && oracle.racing_reducers.count(stored.reducer) != 0);
-      } else {
-        const DeterminacyRace& stored = dr[ref.index];
-        // Exact identity first; heap addresses can shift between the
-        // original process and the replay, so fall back to the
-        // address-insensitive identity.
-        const DeterminacyRace* match = nullptr;
-        for (const auto& f : fresh.determinacy_races()) {
-          if (f.addr == stored.addr && f.current_kind == stored.current_kind &&
-              f.current_view_aware == stored.current_view_aware &&
-              f.prior_was_write == stored.prior_was_write &&
-              f.current_label == stored.current_label) {
-            match = &f;
-            break;
-          }
-        }
-        if (match == nullptr) {
-          for (const auto& f : fresh.determinacy_races()) {
-            if (f.current_kind == stored.current_kind &&
-                f.current_view_aware == stored.current_view_aware &&
-                f.prior_was_write == stored.prior_was_write &&
-                f.current_label == stored.current_label) {
-              match = &f;
-              break;
-            }
-          }
-        }
-        if (match == nullptr) continue;
-        built = build_record(rec, match->prior_frame, match->current_frame,
-                             &record);
-        record.oracle = oracle_verdict(
-            have_oracle && oracle.racing_addrs.count(match->addr) != 0);
-      }
-      if (!built) continue;
-      if (ref.view_read) {
+        if (!describe(vr[ref.index], &record)) continue;
         log.set_view_read_provenance(ref.index, record_json(record),
                                      record_text(record));
       } else {
+        if (!describe(dr[ref.index], &record)) continue;
         log.set_determinacy_provenance(ref.index, record_json(record),
                                        record_text(record));
       }

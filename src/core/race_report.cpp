@@ -20,45 +20,26 @@ void add_spec(std::vector<std::string>& specs, const std::string& spec) {
   specs.push_back(spec);
 }
 
-std::size_t combine(std::size_t seed, std::size_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
 }  // namespace
 
-std::size_t RaceLog::KeyHash::operator()(const ViewReadKey& k) const {
-  std::size_t h = std::hash<ReducerId>{}(k.reducer);
-  h = combine(h, std::hash<std::string>{}(k.prior_label));
-  h = combine(h, std::hash<std::string>{}(k.current_label));
-  return h;
-}
-
-std::size_t RaceLog::KeyHash::operator()(const DeterminacyKey& k) const {
-  std::size_t h = std::hash<std::uintptr_t>{}(k.addr);
-  h = combine(h, static_cast<std::size_t>(k.current_kind));
-  h = combine(h, (k.current_view_aware ? 2u : 0u) |
-                     (k.prior_was_write ? 1u : 0u));
-  h = combine(h, std::hash<std::string>{}(k.current_label));
-  return h;
-}
-
-void RaceLog::absorb_view_read(const ViewReadRace& r) {
-  ViewReadKey key{r.reducer, r.prior_label, r.current_label};
-  const auto it = seen_view_reads_.find(key);
-  if (it == seen_view_reads_.end()) {
+template <class Race>
+void RaceLog::Store<Race>::absorb(const Race& r, std::size_t max_stored) {
+  auto key = r.key();
+  const auto it = seen.find(key);
+  if (it == seen.end()) {
     metrics::bump(metrics::Counter::kRacesReported);
     std::size_t idx = kDropped;
-    if (view_read_races_.size() < max_stored_) {
-      idx = view_read_races_.size();
-      view_read_races_.push_back(r);
-      add_spec(view_read_races_.back().eliciting_specs, r.found_under);
+    if (races.size() < max_stored) {
+      idx = races.size();
+      races.push_back(r);
+      add_spec(races.back().eliciting_specs, r.found_under);
     }
-    seen_view_reads_.emplace(std::move(key), idx);
+    seen.emplace(std::move(key), idx);
     return;
   }
   metrics::bump(metrics::Counter::kRacesDeduped);
   if (it->second == kDropped) return;
-  ViewReadRace& stored = view_read_races_[it->second];
+  Race& stored = races[it->second];
   stored.occurrences += r.occurrences;
   add_spec(stored.eliciting_specs, r.found_under);
   for (const auto& s : r.eliciting_specs) add_spec(stored.eliciting_specs, s);
@@ -68,211 +49,192 @@ void RaceLog::absorb_view_read(const ViewReadRace& r) {
   }
 }
 
-void RaceLog::absorb_determinacy(const DeterminacyRace& r) {
-  DeterminacyKey key{r.addr, r.current_kind, r.current_view_aware,
-                     r.prior_was_write, r.current_label};
-  const auto it = seen_determinacy_.find(key);
-  if (it == seen_determinacy_.end()) {
-    metrics::bump(metrics::Counter::kRacesReported);
-    std::size_t idx = kDropped;
-    if (determinacy_races_.size() < max_stored_) {
-      idx = determinacy_races_.size();
-      determinacy_races_.push_back(r);
-      add_spec(determinacy_races_.back().eliciting_specs, r.found_under);
-    }
-    seen_determinacy_.emplace(std::move(key), idx);
-    return;
+template <class Race>
+void RaceLog::Store<Race>::report(const Race& r, std::size_t max_stored) {
+  count += r.occurrences;
+  absorb(r, max_stored);
+}
+
+template <class Race>
+void RaceLog::Store<Race>::merge(const Store& other, std::size_t max_stored) {
+  count += other.count;
+  for (const auto& r : other.races) absorb(r, max_stored);
+}
+
+template <class Race>
+void RaceLog::Store<Race>::stamp_found_under(const std::string& spec) {
+  for (auto& r : races) {
+    if (r.found_under.empty()) r.found_under = spec;
+    if (r.eliciting_specs.empty()) r.eliciting_specs.push_back(spec);
   }
-  metrics::bump(metrics::Counter::kRacesDeduped);
-  if (it->second == kDropped) return;
-  DeterminacyRace& stored = determinacy_races_[it->second];
-  stored.occurrences += r.occurrences;
-  add_spec(stored.eliciting_specs, r.found_under);
-  for (const auto& s : r.eliciting_specs) add_spec(stored.eliciting_specs, s);
-  if (stored.provenance_json.empty() && !r.provenance_json.empty()) {
-    stored.provenance_json = r.provenance_json;
-    stored.provenance_text = r.provenance_text;
+}
+
+template <class Race>
+void RaceLog::Store<Race>::stamp_repro_file(const std::string& path) {
+  for (auto& r : races) {
+    if (r.repro_file.empty()) r.repro_file = path;
   }
+}
+
+template <class Race>
+void RaceLog::Store<Race>::set_provenance(std::size_t index, std::string json,
+                                          std::string text) {
+  RADER_CHECK(index < races.size());
+  races[index].provenance_json = std::move(json);
+  races[index].provenance_text = std::move(text);
+}
+
+template <class Race>
+void RaceLog::Store<Race>::clear() {
+  races.clear();
+  seen.clear();
+  count = 0;
 }
 
 void RaceLog::report_view_read(const ViewReadRace& r) {
-  view_read_count_ += r.occurrences;
-  absorb_view_read(r);
+  view_reads_.report(r, max_stored_);
 }
 
 void RaceLog::report_determinacy(const DeterminacyRace& r) {
-  determinacy_count_ += r.occurrences;
-  absorb_determinacy(r);
+  determinacies_.report(r, max_stored_);
 }
 
 void RaceLog::merge(const RaceLog& other) {
-  view_read_count_ += other.view_read_count_;
-  determinacy_count_ += other.determinacy_count_;
-  for (const auto& r : other.view_read_races_) absorb_view_read(r);
-  for (const auto& r : other.determinacy_races_) absorb_determinacy(r);
+  view_reads_.merge(other.view_reads_, max_stored_);
+  determinacies_.merge(other.determinacies_, max_stored_);
 }
 
 void RaceLog::set_view_read_provenance(std::size_t index, std::string json,
                                        std::string text) {
-  RADER_CHECK(index < view_read_races_.size());
-  view_read_races_[index].provenance_json = std::move(json);
-  view_read_races_[index].provenance_text = std::move(text);
+  view_reads_.set_provenance(index, std::move(json), std::move(text));
 }
 
 void RaceLog::set_determinacy_provenance(std::size_t index, std::string json,
                                          std::string text) {
-  RADER_CHECK(index < determinacy_races_.size());
-  determinacy_races_[index].provenance_json = std::move(json);
-  determinacy_races_[index].provenance_text = std::move(text);
+  determinacies_.set_provenance(index, std::move(json), std::move(text));
 }
 
 void RaceLog::stamp_found_under(const std::string& spec_description) {
-  for (auto& r : view_read_races_) {
-    if (r.found_under.empty()) r.found_under = spec_description;
-    if (r.eliciting_specs.empty()) r.eliciting_specs.push_back(spec_description);
-  }
-  for (auto& r : determinacy_races_) {
-    if (r.found_under.empty()) r.found_under = spec_description;
-    if (r.eliciting_specs.empty()) r.eliciting_specs.push_back(spec_description);
-  }
+  view_reads_.stamp_found_under(spec_description);
+  determinacies_.stamp_found_under(spec_description);
 }
 
 void RaceLog::stamp_repro_file(const std::string& path) {
-  for (auto& r : view_read_races_) {
-    if (r.repro_file.empty()) r.repro_file = path;
-  }
-  for (auto& r : determinacy_races_) {
-    if (r.repro_file.empty()) r.repro_file = path;
-  }
+  view_reads_.stamp_repro_file(path);
+  determinacies_.stamp_repro_file(path);
+}
+
+void RaceLog::clear() {
+  view_reads_.clear();
+  determinacies_.clear();
 }
 
 namespace {
 
-/// " [replay: SPEC]" plus, when the race was elicited under several specs,
-/// " (+N more specs)" — the dedup layer's footprint in the text report.
-void append_replay(std::ostringstream& os,
-                   const std::string& found_under,
-                   const std::vector<std::string>& specs) {
-  if (found_under.empty()) return;
-  os << " [replay: " << found_under << "]";
-  if (specs.size() > 1) os << " (+" << specs.size() - 1 << " more specs)";
+const char* access_name(bool write) { return write ? "write" : "read"; }
+
+// Each kind's own text sentence and leading JSON fields; the shared tail
+// (replay handle, eliciting specs, provenance, reproducer) follows them.
+void write_text(std::ostringstream& os, const ViewReadRace& r) {
+  os << "  view-read race on reducer #" << r.reducer << ": read at '"
+     << r.prior_label << "' (frame " << r.prior_frame
+     << ") has different peers than read at '" << r.current_label
+     << "' (frame " << r.current_frame << ")";
 }
 
-/// Indent and append a multi-line provenance rendering under a race line.
-void append_provenance_text(std::ostringstream& os, const std::string& text) {
-  if (text.empty()) return;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) os << "    " << line << "\n";
+void write_text(std::ostringstream& os, const DeterminacyRace& r) {
+  os << "  determinacy race at 0x" << std::hex << r.addr << std::dec << ": "
+     << access_name(r.current_kind == AccessKind::kWrite) << " ('"
+     << r.current_label << "', frame " << r.current_frame << ", "
+     << (r.current_view_aware ? "view-aware" : "view-oblivious")
+     << ") races with earlier " << access_name(r.prior_was_write)
+     << " by frame " << r.prior_frame;
+}
+
+void write_json(std::ostringstream& os, const ViewReadRace& r) {
+  os << "{\"reducer\":" << r.reducer << ",\"prior_frame\":" << r.prior_frame
+     << ",\"current_frame\":" << r.current_frame
+     << ",\"occurrences\":" << r.occurrences
+     << ",\"prior_label\":" << json_quoted(r.prior_label)
+     << ",\"current_label\":" << json_quoted(r.current_label);
+}
+
+void write_json(std::ostringstream& os, const DeterminacyRace& r) {
+  os << "{\"addr\":" << r.addr << ",\"kind\":\""
+     << access_name(r.current_kind == AccessKind::kWrite)
+     << "\",\"view_aware\":" << (r.current_view_aware ? "true" : "false")
+     << ",\"prior_was_write\":" << (r.prior_was_write ? "true" : "false")
+     << ",\"prior_frame\":" << r.prior_frame
+     << ",\"current_frame\":" << r.current_frame
+     << ",\"occurrences\":" << r.occurrences
+     << ",\"label\":" << json_quoted(r.current_label);
+}
+
+/// Each race's sentence, then " [replay: SPEC]" plus, when it was elicited
+/// under several specs, " (+N more specs)", then its indented provenance.
+template <class Race>
+void append_text(std::ostringstream& os, const std::vector<Race>& races) {
+  for (const Race& r : races) {
+    write_text(os, r);
+    if (!r.found_under.empty()) {
+      os << " [replay: " << r.found_under << "]";
+      if (r.eliciting_specs.size() > 1) {
+        os << " (+" << r.eliciting_specs.size() - 1 << " more specs)";
+      }
+    }
+    os << "\n";
+    std::istringstream in(r.provenance_text);
+    std::string line;
+    while (std::getline(in, line)) os << "    " << line << "\n";
+  }
+}
+
+template <class Race>
+void append_json(std::ostringstream& os, const std::vector<Race>& races) {
+  for (std::size_t i = 0; i < races.size(); ++i) {
+    const Race& r = races[i];
+    if (i != 0) os << ',';
+    write_json(os, r);
+    os << ",\"found_under\":" << json_quoted(r.found_under)
+       << ",\"eliciting_specs\":[";
+    for (std::size_t j = 0; j < r.eliciting_specs.size(); ++j) {
+      if (j != 0) os << ',';
+      os << json_quoted(r.eliciting_specs[j]);
+    }
+    os << ']';
+    if (!r.provenance_json.empty()) {
+      os << ",\"provenance\":" << r.provenance_json;
+    }
+    if (!r.repro_file.empty()) {
+      os << ",\"repro_file\":" << json_quoted(r.repro_file);
+    }
+    os << '}';
+  }
 }
 
 }  // namespace
 
 std::string RaceLog::to_string() const {
   std::ostringstream os;
-  os << "RaceLog: " << view_read_count_ << " view-read race occurrence(s) ("
-     << view_read_races_.size() << " distinct report(s)), "
-     << determinacy_count_ << " determinacy race occurrence(s) ("
-     << determinacy_races_.size() << " distinct report(s))\n";
-  for (const auto& r : view_read_races_) {
-    os << "  view-read race on reducer #" << r.reducer << ": read at '"
-       << r.prior_label << "' (frame " << r.prior_frame
-       << ") has different peers than read at '" << r.current_label
-       << "' (frame " << r.current_frame << ")";
-    append_replay(os, r.found_under, r.eliciting_specs);
-    os << "\n";
-    append_provenance_text(os, r.provenance_text);
-  }
-  for (const auto& r : determinacy_races_) {
-    os << "  determinacy race at 0x" << std::hex << r.addr << std::dec << ": "
-       << (r.current_kind == AccessKind::kWrite ? "write" : "read") << " ('"
-       << r.current_label << "', frame " << r.current_frame << ", "
-       << (r.current_view_aware ? "view-aware" : "view-oblivious")
-       << ") races with earlier "
-       << (r.prior_was_write ? "write" : "read") << " by frame "
-       << r.prior_frame;
-    append_replay(os, r.found_under, r.eliciting_specs);
-    os << "\n";
-    append_provenance_text(os, r.provenance_text);
-  }
+  os << "RaceLog: " << view_reads_.count << " view-read race occurrence(s) ("
+     << view_reads_.races.size() << " distinct report(s)), "
+     << determinacies_.count << " determinacy race occurrence(s) ("
+     << determinacies_.races.size() << " distinct report(s))\n";
+  append_text(os, view_reads_.races);
+  append_text(os, determinacies_.races);
   return os.str();
 }
-
-namespace {
-
-void append_json_specs(std::ostringstream& os,
-                       const std::vector<std::string>& specs) {
-  os << ",\"eliciting_specs\":[";
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (i != 0) os << ',';
-    os << json_quoted(specs[i]);
-  }
-  os << ']';
-}
-
-}  // namespace
 
 std::string RaceLog::to_json() const {
   std::ostringstream os;
-  os << "{\"view_read_occurrences\":" << view_read_count_
-     << ",\"determinacy_occurrences\":" << determinacy_count_
+  os << "{\"view_read_occurrences\":" << view_reads_.count
+     << ",\"determinacy_occurrences\":" << determinacies_.count
      << ",\"view_read_races\":[";
-  for (std::size_t i = 0; i < view_read_races_.size(); ++i) {
-    const auto& r = view_read_races_[i];
-    if (i != 0) os << ',';
-    os << "{\"reducer\":" << r.reducer << ",\"prior_frame\":" << r.prior_frame
-       << ",\"current_frame\":" << r.current_frame
-       << ",\"occurrences\":" << r.occurrences << ",\"prior_label\":";
-    os << json_quoted(r.prior_label);
-    os << ",\"current_label\":";
-    os << json_quoted(r.current_label);
-    os << ",\"found_under\":";
-    os << json_quoted(r.found_under);
-    append_json_specs(os, r.eliciting_specs);
-    if (!r.provenance_json.empty()) {
-      os << ",\"provenance\":" << r.provenance_json;
-    }
-    if (!r.repro_file.empty()) {
-      os << ",\"repro_file\":";
-      os << json_quoted(r.repro_file);
-    }
-    os << '}';
-  }
+  append_json(os, view_reads_.races);
   os << "],\"determinacy_races\":[";
-  for (std::size_t i = 0; i < determinacy_races_.size(); ++i) {
-    const auto& r = determinacy_races_[i];
-    if (i != 0) os << ',';
-    os << "{\"addr\":" << r.addr << ",\"kind\":\""
-       << (r.current_kind == AccessKind::kWrite ? "write" : "read")
-       << "\",\"view_aware\":" << (r.current_view_aware ? "true" : "false")
-       << ",\"prior_was_write\":" << (r.prior_was_write ? "true" : "false")
-       << ",\"prior_frame\":" << r.prior_frame
-       << ",\"current_frame\":" << r.current_frame
-       << ",\"occurrences\":" << r.occurrences << ",\"label\":";
-    os << json_quoted(r.current_label);
-    os << ",\"found_under\":";
-    os << json_quoted(r.found_under);
-    append_json_specs(os, r.eliciting_specs);
-    if (!r.provenance_json.empty()) {
-      os << ",\"provenance\":" << r.provenance_json;
-    }
-    if (!r.repro_file.empty()) {
-      os << ",\"repro_file\":";
-      os << json_quoted(r.repro_file);
-    }
-    os << '}';
-  }
+  append_json(os, determinacies_.races);
   os << "]}";
   return os.str();
-}
-
-void RaceLog::clear() {
-  view_read_count_ = 0;
-  determinacy_count_ = 0;
-  view_read_races_.clear();
-  determinacy_races_.clear();
-  seen_view_reads_.clear();
-  seen_determinacy_.clear();
 }
 
 void report_access_race(RaceLog* log, std::uintptr_t granule,

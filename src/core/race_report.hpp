@@ -17,20 +17,22 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "runtime/types.hpp"
+#include "support/hash.hpp"
 
 namespace rader {
 
-/// A view-read race: two reducer-reads at strands with different peer sets.
-struct ViewReadRace {
-  ReducerId reducer = kInvalidReducer;
-  FrameId prior_frame = kInvalidFrame;    // frame of the earlier reducer-read
-  FrameId current_frame = kInvalidFrame;  // frame of the later reducer-read
-  std::string prior_label;                // source tag of the earlier read
-  std::string current_label;              // source tag of the later read
+/// What every race report carries, whatever its kind: the two accesses'
+/// frames, the later access's source tag, and the replay envelope that
+/// stamping and merging fill in.
+struct RaceRecord {
+  FrameId prior_frame = kInvalidFrame;    // frame of the earlier access
+  FrameId current_frame = kInvalidFrame;  // frame of the later access
+  std::string current_label;              // source tag of the later access
   std::string found_under;                // first steal spec that elicited it
   std::vector<std::string> eliciting_specs;  // every spec that elicited it
   std::uint64_t occurrences = 1;          // dynamic observations collapsed in
@@ -41,25 +43,32 @@ struct ViewReadRace {
                                 // ("" = none); schema v3 races[].repro_file
 };
 
+/// A view-read race: two reducer-reads at strands with different peer sets.
+struct ViewReadRace : RaceRecord {
+  ReducerId reducer = kInvalidReducer;
+  std::string prior_label;  // source tag of the earlier read
+
+  /// Dedup identity: the reducer and both reads' labels.
+  using Key = std::tuple<ReducerId, std::string, std::string>;
+  Key key() const { return {reducer, prior_label, current_label}; }
+};
+
 /// A determinacy race: two conflicting accesses on logically parallel
 /// strands (with the parallel-views condition when the later strand is
 /// view-aware).
-struct DeterminacyRace {
+struct DeterminacyRace : RaceRecord {
   std::uintptr_t addr = 0;
   AccessKind current_kind = AccessKind::kRead;
   bool current_view_aware = false;
-  bool prior_was_write = false;           // which shadow space hit
-  FrameId prior_frame = kInvalidFrame;
-  FrameId current_frame = kInvalidFrame;
-  std::string current_label;
-  std::string found_under;                // first steal spec that elicited it
-  std::vector<std::string> eliciting_specs;  // every spec that elicited it
-  std::uint64_t occurrences = 1;          // dynamic observations collapsed in
-  std::string provenance_json;  // raw JSON object from core/provenance ("" =
-                                // not annotated); schema v2 races[].provenance
-  std::string provenance_text;  // human rendering of the same record
-  std::string repro_file;       // `.rprog` reproducer this race replays from
-                                // ("" = none); schema v3 races[].repro_file
+  bool prior_was_write = false;  // which shadow space hit
+
+  /// Dedup identity: the location, the later access's kind, view-awareness
+  /// and label, and which kind of prior access it hit.
+  using Key = std::tuple<std::uintptr_t, AccessKind, bool, bool, std::string>;
+  Key key() const {
+    return {addr, current_kind, current_view_aware, prior_was_write,
+            current_label};
+  }
 };
 
 /// Detector-side constructors (the remaining fields — found_under,
@@ -117,8 +126,8 @@ class RaceLog {
   /// arithmetic stays exact across a process boundary.
   void add_unstored_occurrences(std::uint64_t view_read,
                                 std::uint64_t determinacy) {
-    view_read_count_ += view_read;
-    determinacy_count_ += determinacy;
+    view_reads_.count += view_read;
+    determinacies_.count += determinacy;
   }
 
   /// Stamp every stored report with the steal specification it was found
@@ -134,16 +143,16 @@ class RaceLog {
   void stamp_repro_file(const std::string& path);
 
   bool any() const {
-    return view_read_count_ != 0 || determinacy_count_ != 0;
+    return view_reads_.count != 0 || determinacies_.count != 0;
   }
-  std::uint64_t view_read_count() const { return view_read_count_; }
-  std::uint64_t determinacy_count() const { return determinacy_count_; }
+  std::uint64_t view_read_count() const { return view_reads_.count; }
+  std::uint64_t determinacy_count() const { return determinacies_.count; }
 
   const std::vector<ViewReadRace>& view_read_races() const {
-    return view_read_races_;
+    return view_reads_.races;
   }
   const std::vector<DeterminacyRace>& determinacy_races() const {
-    return determinacy_races_;
+    return determinacies_.races;
   }
 
   /// Attach a provenance record (core/provenance) to a stored report.
@@ -163,49 +172,52 @@ class RaceLog {
   void clear();
 
  private:
-  // Race-identity keys: location + access labels + kinds, frame-free (see
-  // the file comment).  Real equality, not raw hashes, so the dedup cannot
-  // be fooled by a 64-bit collision.
-  struct ViewReadKey {
-    ReducerId reducer;
-    std::string prior_label;
-    std::string current_label;
-    bool operator==(const ViewReadKey&) const = default;
-  };
-  struct DeterminacyKey {
-    std::uintptr_t addr;
-    AccessKind current_kind;
-    bool current_view_aware;
-    bool prior_was_write;
-    std::string current_label;
-    bool operator==(const DeterminacyKey&) const = default;
-  };
+  /// Hashes an identity tuple member by member.
   struct KeyHash {
-    std::size_t operator()(const ViewReadKey& k) const;
-    std::size_t operator()(const DeterminacyKey& k) const;
+    template <class... T>
+    std::size_t operator()(const std::tuple<T...>& key) const {
+      return std::apply(
+          [](const T&... member) {
+            std::uint64_t h = 0;
+            ((h = hash_combine(h, std::hash<T>{}(member))), ...);
+            return static_cast<std::size_t>(h);
+          },
+          key);
+    }
   };
 
   // Sentinel index: race identity seen but its report was dropped by the
-  // storage cap (occurrences for it still tally in the global counters).
+  // storage cap (occurrences for it still tally in the store's count).
   static constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
 
-  /// Store `r` or fold it into the stored report with the same identity.
-  /// Does NOT touch the occurrence counters (callers differ: a detector
-  /// report adds `r.occurrences`; a merge adds the whole other log's total).
-  void absorb_view_read(const ViewReadRace& r);
-  void absorb_determinacy(const DeterminacyRace& r);
+  /// One race kind's stored reports, deduplicated by `Race::Key` (the
+  /// kind's frame-free race identity; real equality, not raw hashes, so a
+  /// 64-bit collision cannot merge two races), and its occurrence total.
+  template <class Race>
+  struct Store {
+    std::vector<Race> races;
+    std::unordered_map<typename Race::Key, std::size_t, KeyHash> seen;
+    std::uint64_t count = 0;
+
+    /// Store `r` or fold it into the stored report with the same identity.
+    /// Does not touch `count`: a detector report adds `r.occurrences`, a
+    /// merge adds the other log's whole total.
+    void absorb(const Race& r, std::size_t max_stored);
+    void report(const Race& r, std::size_t max_stored);
+    void merge(const Store& other, std::size_t max_stored);
+    void stamp_found_under(const std::string& spec);
+    void stamp_repro_file(const std::string& path);
+    void set_provenance(std::size_t index, std::string json, std::string text);
+    void clear();
+  };
 
   std::size_t max_stored_;
-  std::uint64_t view_read_count_ = 0;
-  std::uint64_t determinacy_count_ = 0;
-  std::vector<ViewReadRace> view_read_races_;
-  std::vector<DeterminacyRace> determinacy_races_;
-  std::unordered_map<ViewReadKey, std::size_t, KeyHash> seen_view_reads_;
-  std::unordered_map<DeterminacyKey, std::size_t, KeyHash> seen_determinacy_;
+  Store<ViewReadRace> view_reads_;
+  Store<DeterminacyRace> determinacies_;
 };
 
-/// Record one determinacy race found by an access check (SP-bags, SP-order,
-/// SP+): the trace's conflict event for `granule`, then the log entry.
+/// Record one determinacy race found by an access check (SP-bags, SP+):
+/// the trace's conflict event for `granule`, then the log entry.
 void report_access_race(RaceLog* log, std::uintptr_t granule,
                         std::uintptr_t addr, AccessKind kind, bool view_aware,
                         bool prior_was_write, FrameId prior, FrameId current,

@@ -1,5 +1,6 @@
 #include "core/report_wire.hpp"
 
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 #include <type_traits>
@@ -92,20 +93,17 @@ struct Parser {
     return true;
   }
 
-  bool parse_u64(std::uint64_t* out) {
+  /// An unsigned integer that fits `T`; a wider one is rejected, not
+  /// clamped or narrowed.
+  template <class T>
+  bool parse_uint(T* out) {
     skip_ws();
-    const char* start = p;
-    char buf[32];
-    std::size_t n = 0;
-    while (p < end && *p >= '0' && *p <= '9' && n < sizeof buf - 1) {
-      buf[n++] = *p++;
+    const auto [next, ec] = std::from_chars(p, end, *out);
+    if (ec == std::errc::result_out_of_range) {
+      return fail("integer out of range");
     }
-    if (n == 0) return fail("expected integer");
-    if (p < end && *p >= '0' && *p <= '9') return fail("integer too long");
-    buf[n] = '\0';
-    char* endp = nullptr;
-    *out = std::strtoull(buf, &endp, 10);
-    (void)start;
+    if (ec != std::errc() || next == p) return fail("expected integer");
+    p = next;
     return true;
   }
 
@@ -137,25 +135,11 @@ struct Parser {
       std::string s;
       ok = parse_string(&s);
     } else if (*p == '{') {
-      ++p;
-      if (!peek_is('}')) {
-        do {
-          std::string key;
-          if (!parse_string(&key) || !expect(':') ||
-              !skip_value(nullptr, depth + 1)) {
-            return false;
-          }
-        } while (peek_is(',') && expect(','));
-      }
-      ok = expect('}');
+      ok = parse_object([this, depth](const std::string&) {
+        return skip_value(nullptr, depth + 1);
+      });
     } else if (*p == '[') {
-      ++p;
-      if (!peek_is(']')) {
-        do {
-          if (!skip_value(nullptr, depth + 1)) return false;
-        } while (peek_is(',') && expect(','));
-      }
-      ok = expect(']');
+      ok = parse_array([this, depth] { return skip_value(nullptr, depth + 1); });
     } else if (*p == 't' || *p == 'f') {
       bool b;
       ok = parse_bool(&b);
@@ -172,155 +156,123 @@ struct Parser {
     return ok;
   }
 
-  bool parse_string_array(std::vector<std::string>* out) {
+  /// `{"key":value,...}`: `member(key)` parses each value.
+  template <class F>
+  bool parse_object(F member) {
+    if (!expect('{')) return false;
+    if (peek_is('}')) return expect('}');
+    do {
+      std::string key;
+      if (!parse_string(&key) || !expect(':') || !member(key)) return false;
+    } while (peek_is(',') && expect(','));
+    return expect('}');
+  }
+
+  /// `[element,...]`: `element()` parses each one.
+  template <class F>
+  bool parse_array(F element) {
     if (!expect('[')) return false;
-    out->clear();
     if (peek_is(']')) return expect(']');
     do {
-      std::string s;
-      if (!parse_string(&s)) return false;
-      out->push_back(std::move(s));
+      if (!element()) return false;
     } while (peek_is(',') && expect(','));
     return expect(']');
   }
+
+  bool parse_string_array(std::vector<std::string>* out) {
+    out->clear();
+    return parse_array([this, out] {
+      return parse_string(&out->emplace_back());
+    });
+  }
 };
 
-bool parse_view_read(Parser& ps, ViewReadRace* r) {
-  if (!ps.expect('{')) return false;
-  if (ps.peek_is('}')) return ps.expect('}');
-  do {
-    std::string key;
-    if (!ps.parse_string(&key) || !ps.expect(':')) return false;
-    std::uint64_t u = 0;
-    if (key == "reducer") {
-      if (!ps.parse_u64(&u)) return false;
-      r->reducer = static_cast<ReducerId>(u);
-    } else if (key == "prior_frame") {
-      if (!ps.parse_u64(&u)) return false;
-      r->prior_frame = static_cast<FrameId>(u);
-    } else if (key == "current_frame") {
-      if (!ps.parse_u64(&u)) return false;
-      r->current_frame = static_cast<FrameId>(u);
-    } else if (key == "occurrences") {
-      if (!ps.parse_u64(&r->occurrences)) return false;
-    } else if (key == "prior_label") {
-      if (!ps.parse_string(&r->prior_label)) return false;
-    } else if (key == "current_label") {
-      if (!ps.parse_string(&r->current_label)) return false;
-    } else if (key == "found_under") {
-      if (!ps.parse_string(&r->found_under)) return false;
-    } else if (key == "eliciting_specs") {
-      if (!ps.parse_string_array(&r->eliciting_specs)) return false;
-    } else if (key == "provenance") {
-      if (!ps.skip_value(&r->provenance_json)) return false;
-    } else if (key == "repro_file") {
-      if (!ps.parse_string(&r->repro_file)) return false;
-    } else {
-      if (!ps.skip_value(nullptr)) return false;
-    }
-  } while (ps.peek_is(',') && ps.expect(','));
-  return ps.expect('}');
+// Each kind's own keys; anything unknown is skipped.
+bool parse_own_key(Parser& ps, const std::string& key, ViewReadRace* r) {
+  if (key == "reducer") return ps.parse_uint(&r->reducer);
+  if (key == "prior_label") return ps.parse_string(&r->prior_label);
+  if (key == "current_label") return ps.parse_string(&r->current_label);
+  return ps.skip_value(nullptr);
 }
 
-bool parse_determinacy(Parser& ps, DeterminacyRace* r) {
-  if (!ps.expect('{')) return false;
-  if (ps.peek_is('}')) return ps.expect('}');
-  do {
-    std::string key;
-    if (!ps.parse_string(&key) || !ps.expect(':')) return false;
-    std::uint64_t u = 0;
-    if (key == "addr") {
-      if (!ps.parse_u64(&u)) return false;
-      r->addr = static_cast<std::uintptr_t>(u);
-    } else if (key == "kind") {
-      std::string kind;
-      if (!ps.parse_string(&kind)) return false;
-      r->current_kind =
-          kind == "write" ? AccessKind::kWrite : AccessKind::kRead;
-    } else if (key == "view_aware") {
-      if (!ps.parse_bool(&r->current_view_aware)) return false;
-    } else if (key == "prior_was_write") {
-      if (!ps.parse_bool(&r->prior_was_write)) return false;
-    } else if (key == "prior_frame") {
-      if (!ps.parse_u64(&u)) return false;
-      r->prior_frame = static_cast<FrameId>(u);
-    } else if (key == "current_frame") {
-      if (!ps.parse_u64(&u)) return false;
-      r->current_frame = static_cast<FrameId>(u);
-    } else if (key == "occurrences") {
-      if (!ps.parse_u64(&r->occurrences)) return false;
-    } else if (key == "label") {
-      if (!ps.parse_string(&r->current_label)) return false;
-    } else if (key == "found_under") {
-      if (!ps.parse_string(&r->found_under)) return false;
-    } else if (key == "eliciting_specs") {
-      if (!ps.parse_string_array(&r->eliciting_specs)) return false;
-    } else if (key == "provenance") {
-      if (!ps.skip_value(&r->provenance_json)) return false;
-    } else if (key == "repro_file") {
-      if (!ps.parse_string(&r->repro_file)) return false;
-    } else {
-      if (!ps.skip_value(nullptr)) return false;
-    }
-  } while (ps.peek_is(',') && ps.expect(','));
-  return ps.expect('}');
+bool parse_own_key(Parser& ps, const std::string& key, DeterminacyRace* r) {
+  if (key == "addr") return ps.parse_uint(&r->addr);
+  if (key == "kind") {
+    std::string kind;
+    if (!ps.parse_string(&kind)) return false;
+    r->current_kind = kind == "write" ? AccessKind::kWrite : AccessKind::kRead;
+    return true;
+  }
+  if (key == "view_aware") return ps.parse_bool(&r->current_view_aware);
+  if (key == "prior_was_write") return ps.parse_bool(&r->prior_was_write);
+  if (key == "label") return ps.parse_string(&r->current_label);
+  return ps.skip_value(nullptr);
 }
+
+/// One kind's races array, as RaceLog::to_json() writes it, plus the kind's
+/// declared occurrence total.
+template <class Race>
+struct ParsedKind {
+  std::uint64_t total = 0;
+  std::vector<Race> races;
+
+  bool parse_races(Parser& ps) {
+    return ps.parse_array([this, &ps] {
+      Race& r = races.emplace_back();
+      return ps.parse_object([&ps, &r](const std::string& key) {
+        if (key == "prior_frame") return ps.parse_uint(&r.prior_frame);
+        if (key == "current_frame") return ps.parse_uint(&r.current_frame);
+        if (key == "occurrences") return ps.parse_uint(&r.occurrences);
+        if (key == "found_under") return ps.parse_string(&r.found_under);
+        if (key == "eliciting_specs") {
+          return ps.parse_string_array(&r.eliciting_specs);
+        }
+        if (key == "provenance") return ps.skip_value(&r.provenance_json);
+        if (key == "repro_file") return ps.parse_string(&r.repro_file);
+        return parse_own_key(ps, key, &r);
+      });
+    });
+  }
+
+  /// The occurrences the stored reports do not account for (cap-dropped
+  /// identities tally but do not store); false when they account for more
+  /// than the declared total, or their sum overflows.
+  bool unstored(std::uint64_t* rest) const {
+    std::uint64_t stored = 0;
+    for (const Race& r : races) {
+      if (__builtin_add_overflow(stored, r.occurrences, &stored)) return false;
+    }
+    if (stored > total) return false;
+    *rest = total - stored;
+    return true;
+  }
+};
 
 }  // namespace
 
 bool race_log_from_json(const std::string& json, RaceLog* out,
                         std::string* error) {
   Parser ps{json.data(), json.data() + json.size(), error};
-  std::uint64_t vr_total = 0;
-  std::uint64_t det_total = 0;
-  std::vector<ViewReadRace> view_reads;
-  std::vector<DeterminacyRace> determinacies;
-
-  if (!ps.expect('{')) return false;
-  if (!ps.peek_is('}')) {
-    do {
-      std::string key;
-      if (!ps.parse_string(&key) || !ps.expect(':')) return false;
-      if (key == "view_read_occurrences") {
-        if (!ps.parse_u64(&vr_total)) return false;
-      } else if (key == "determinacy_occurrences") {
-        if (!ps.parse_u64(&det_total)) return false;
-      } else if (key == "view_read_races") {
-        if (!ps.expect('[')) return false;
-        if (!ps.peek_is(']')) {
-          do {
-            ViewReadRace r;
-            if (!parse_view_read(ps, &r)) return false;
-            view_reads.push_back(std::move(r));
-          } while (ps.peek_is(',') && ps.expect(','));
-        }
-        if (!ps.expect(']')) return false;
-      } else if (key == "determinacy_races") {
-        if (!ps.expect('[')) return false;
-        if (!ps.peek_is(']')) {
-          do {
-            DeterminacyRace r;
-            if (!parse_determinacy(ps, &r)) return false;
-            determinacies.push_back(std::move(r));
-          } while (ps.peek_is(',') && ps.expect(','));
-        }
-        if (!ps.expect(']')) return false;
-      } else {
-        if (!ps.skip_value(nullptr)) return false;
-      }
-    } while (ps.peek_is(',') && ps.expect(','));
-  }
-  if (!ps.expect('}')) return false;
+  ParsedKind<ViewReadRace> view_reads;
+  ParsedKind<DeterminacyRace> determinacies;
+  const bool parsed = ps.parse_object([&](const std::string& key) {
+    if (key == "view_read_occurrences") {
+      return ps.parse_uint(&view_reads.total);
+    }
+    if (key == "determinacy_occurrences") {
+      return ps.parse_uint(&determinacies.total);
+    }
+    if (key == "view_read_races") return view_reads.parse_races(ps);
+    if (key == "determinacy_races") return determinacies.parse_races(ps);
+    return ps.skip_value(nullptr);
+  });
+  if (!parsed) return false;
   ps.skip_ws();
   if (ps.p != ps.end) return ps.fail("trailing bytes after race log");
 
-  // The totals are occurrence *sums*; the stored reports can only account
-  // for at most that many (cap-dropped identities tally but do not store).
-  std::uint64_t vr_stored = 0;
-  for (const auto& r : view_reads) vr_stored += r.occurrences;
-  std::uint64_t det_stored = 0;
-  for (const auto& r : determinacies) det_stored += r.occurrences;
-  if (vr_stored > vr_total || det_stored > det_total) {
+  std::uint64_t vr_rest = 0;
+  std::uint64_t det_rest = 0;
+  if (!view_reads.unstored(&vr_rest) || !determinacies.unstored(&det_rest)) {
     return ps.fail("stored occurrences exceed declared totals");
   }
 
@@ -331,10 +283,9 @@ bool race_log_from_json(const std::string& json, RaceLog* out,
   out->clear();
   {
     metrics::Scope metrics_off(static_cast<metrics::Registry*>(nullptr));
-    for (const auto& r : view_reads) out->report_view_read(r);
-    for (const auto& r : determinacies) out->report_determinacy(r);
-    out->add_unstored_occurrences(vr_total - vr_stored,
-                                  det_total - det_stored);
+    for (const auto& r : view_reads.races) out->report_view_read(r);
+    for (const auto& r : determinacies.races) out->report_determinacy(r);
+    out->add_unstored_occurrences(vr_rest, det_rest);
   }
   return true;
 }
@@ -361,8 +312,9 @@ bool snapshot_from_wire(const std::string& text, metrics::Snapshot* out) {
   const char* p = text.c_str();
   const auto next = [&p](std::uint64_t* v) {
     char* end = nullptr;
+    errno = 0;
     *v = std::strtoull(p, &end, 10);
-    if (end == p) return false;
+    if (end == p || errno == ERANGE) return false;
     p = end;
     return true;
   };

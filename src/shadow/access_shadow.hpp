@@ -70,10 +70,10 @@ class AccessShadow {
     bool replace;  // the current access supersedes it in the shadow
   };
 
-  /// The race check and shadow update shared by SP-bags, SP-order and
-  /// SP+.  For each granule g of the `size` bytes at `addr`, in ascending
-  /// order: a read reports a racing writer, then records `cur` as reader if
-  /// the reader is to be replaced; a write reports a racing reader, then a
+  /// The race check and shadow update shared by SP-bags and SP+.  For
+  /// each granule g of the `size` bytes at `addr`, in ascending order: a
+  /// read reports a racing writer, then records `cur` as reader if the
+  /// reader is to be replaced; a write reports a racing reader, then a
   /// racing writer, then records `cur` as writer if the writer is to be
   /// replaced.  Empty priors never race and are always replaced (`classify`
   /// never sees kEmpty).  `report(g, b, prior, prior_was_write)` gets the

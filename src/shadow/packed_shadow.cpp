@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "support/hash.hpp"
 #include "support/metrics.hpp"
@@ -46,10 +47,9 @@ PackedShadow::PackedShadow() : arena_(std::make_shared<PageArena>()) {}
 
 void PackedShadow::steal_from(PackedShadow&& other) {
   arena_ = std::move(other.arena_);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    shards_[s] = std::move(other.shards_[s]);
-    other.shards_[s] = Shard{};
-  }
+  chunks_ = std::move(other.chunks_);
+  other.chunks_.clear();
+  chunk_count_ = std::exchange(other.chunk_count_, 0);
   epoch_ = other.epoch_;
   page_count_ = other.page_count_;
   cached_ckey_ = other.cached_ckey_;
@@ -81,65 +81,40 @@ PackedShadow::~PackedShadow() { release_directory(); }
 
 // ---- Directory -------------------------------------------------------------
 
-PackedShadow::Chunk* PackedShadow::find_chunk(std::uintptr_t key) {
-  if (key == cached_ckey_) return cached_chunk_;
-  const std::uint64_t h = mix64(key);
-  Shard& shard = shards_[h & (kShards - 1)];
-  if (shard.table.empty()) return nullptr;
-  const std::size_t mask = shard.table.size() - 1;
-  for (std::size_t i = (h >> kShardBits) & mask;;
-       i = (i + 1) & mask) {
-    Chunk* chunk = shard.table[i].load(std::memory_order_acquire);
-    if (chunk == nullptr) return nullptr;
-    if (chunk->key == key) {
-      cached_ckey_ = key;
-      cached_chunk_ = chunk;
-      return chunk;
-    }
+PackedShadow::Chunk*& PackedShadow::table_cell(std::uintptr_t key) {
+  const std::size_t mask = chunks_.size() - 1;
+  for (std::size_t i = mix64(key) & mask;; i = (i + 1) & mask) {
+    Chunk*& cell = chunks_[i];
+    if (cell == nullptr || cell->key == key) return cell;
   }
 }
 
-void PackedShadow::shard_insert(Shard& shard, Chunk* chunk) {
-  const std::size_t mask = shard.table.size() - 1;
-  for (std::size_t i = (mix64(chunk->key) >> kShardBits) & mask;;
-       i = (i + 1) & mask) {
-    if (shard.table[i].load(std::memory_order_relaxed) == nullptr) {
-      // Release publication: a foreign reader that observes the pointer
-      // observes the fully initialized chunk behind it.
-      shard.table[i].store(chunk, std::memory_order_release);
-      return;
-    }
+PackedShadow::Chunk* PackedShadow::find_chunk(std::uintptr_t key) {
+  if (key == cached_ckey_) return cached_chunk_;
+  if (chunks_.empty()) return nullptr;
+  Chunk* chunk = table_cell(key);
+  if (chunk != nullptr) {
+    cached_ckey_ = key;
+    cached_chunk_ = chunk;
   }
+  return chunk;
 }
 
 PackedShadow::Chunk* PackedShadow::ensure_chunk(std::uintptr_t key) {
   if (Chunk* chunk = find_chunk(key)) return chunk;
-  const std::uint64_t h = mix64(key);
-  Shard& shard = shards_[h & (kShards - 1)];
-  if (shard.table.empty() ||
-      (shard.count + 1) * 4 > shard.table.size() * 3) {
-    // Grow (single writer).  The old table is RETIRED, not freed: a
-    // foreign reader probing it mid-resize keeps a valid (if possibly
-    // incomplete) view; every chunk it held is re-inserted into the new
-    // table before any new chunk is published.
-    const std::size_t new_size =
-        shard.table.empty() ? 16 : shard.table.size() * 2;
-    std::vector<std::atomic<Chunk*>> grown(new_size);
-    std::swap(shard.table, grown);
-    if (!grown.empty()) {
-      for (auto& cell : grown) {
-        if (Chunk* c = cell.load(std::memory_order_relaxed)) {
-          shard_insert(shard, c);
-        }
-      }
-      shard.retired.push_back(std::move(grown));
+  if ((chunk_count_ + 1) * 4 > chunks_.size() * 3) {
+    // Grow: rehash every chunk into a table twice the size.
+    std::vector<Chunk*> old(chunks_.empty() ? 16 : chunks_.size() * 2);
+    old.swap(chunks_);
+    for (Chunk* c : old) {
+      if (c != nullptr) table_cell(c->key) = c;
     }
   }
   Chunk* chunk = new Chunk();  // value-init: cells all null
   chunk->key = key;
   chunk->refs = 1;
-  shard_insert(shard, chunk);
-  ++shard.count;
+  table_cell(key) = chunk;
+  ++chunk_count_;
   cached_ckey_ = key;
   cached_chunk_ = chunk;
   return chunk;
@@ -150,28 +125,15 @@ PackedShadow::Chunk* PackedShadow::unshare_chunk(Chunk* chunk) {
   // stay invisible to the sharers.  Pages are still shared — the clone
   // holds one more chunk-reference to each — and un-share individually
   // on their own first write.
-  Chunk* fresh = new Chunk();  // value-init: cells all null
-  fresh->key = chunk->key;
+  Chunk* fresh = new Chunk(*chunk);
   fresh->refs = 1;
-  for (std::size_t i = 0; i < kChunkPages; ++i) {
-    Page* page = chunk->pages[i].load(std::memory_order_relaxed);
-    if (page != nullptr) {
-      ++page->refs;  // single-thread contract: space + forks share one
-      fresh->pages[i].store(page, std::memory_order_relaxed);
-    }
+  for (Page* page : fresh->pages) {
+    if (page != nullptr) ++page->refs;
   }
   --chunk->refs;
-  // Swap the clone into OUR shard table (the table is per space; the
-  // sharers keep the original through their own tables).
-  Shard& shard = shards_[mix64(fresh->key) & (kShards - 1)];
-  const std::size_t mask = shard.table.size() - 1;
-  for (std::size_t i = (mix64(fresh->key) >> kShardBits) & mask;;
-       i = (i + 1) & mask) {
-    if (shard.table[i].load(std::memory_order_relaxed) == chunk) {
-      shard.table[i].store(fresh, std::memory_order_release);
-      break;
-    }
-  }
+  // Swap the clone into OUR table (the table is per space; the sharers
+  // keep the original through their own tables).
+  table_cell(fresh->key) = fresh;
   cached_ckey_ = fresh->key;
   cached_chunk_ = fresh;
   return fresh;
@@ -184,7 +146,7 @@ const std::uint64_t* PackedShadow::peek_run(std::uintptr_t g) {
   if (pkey != cached_pkey_) {
     Chunk* chunk = find_chunk(chunk_key(g));
     if (chunk == nullptr) return nullptr;
-    Page* page = chunk->pages[page_index(g)].load(std::memory_order_acquire);
+    Page* page = chunk->pages[page_index(g)];
     if (page == nullptr) return nullptr;
     cached_pkey_ = pkey;
     cached_page_ = page;
@@ -200,14 +162,14 @@ std::uint64_t* PackedShadow::writable_run(std::uintptr_t g) {
   if (pkey == wcached_pkey_) return &wcached_slots_[slot_index(g)];
   Chunk* chunk = ensure_chunk(chunk_key(g));
   if (chunk->refs > 1) chunk = unshare_chunk(chunk);
-  std::atomic<Page*>& cell = chunk->pages[page_index(g)];
-  Page* page = cell.load(std::memory_order_relaxed);  // owner thread
+  Page*& cell = chunk->pages[page_index(g)];
+  Page* page = cell;
   if (page == nullptr) {
     page = arena_->alloc();
     std::memset(page->slots, 0xff, sizeof page->slots);  // all empty
     page->epoch = epoch_;
     page->refs = 1;
-    cell.store(page, std::memory_order_release);
+    cell = page;
     ++page_count_;
     metrics::bump(metrics::Counter::kShadowPagesTouched);
     pages_live_delta(1);
@@ -226,7 +188,7 @@ std::uint64_t* PackedShadow::writable_run(std::uintptr_t g) {
     fresh->epoch = epoch_;
     fresh->refs = 1;
     --page->refs;
-    cell.store(fresh, std::memory_order_release);
+    cell = fresh;
     page = fresh;
     // page_count_ and the gauge are unchanged: one reference was swapped
     // for another.
@@ -250,7 +212,7 @@ std::uint64_t* PackedShadow::clearable_run(std::uintptr_t g) {
   if (page_key(g) != wcached_pkey_) {
     Chunk* chunk = find_chunk(chunk_key(g));
     if (chunk == nullptr) return nullptr;
-    Page* page = chunk->pages[page_index(g)].load(std::memory_order_relaxed);
+    Page* page = chunk->pages[page_index(g)];
     if (page == nullptr || page->epoch != epoch_) return nullptr;
   }
   return writable_run(g);
@@ -299,19 +261,10 @@ PackedShadow PackedShadow::fork() const {
   f.arena_ = arena_;
   f.epoch_ = epoch_;
   f.page_count_ = page_count_;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const Shard& mine = shards_[s];
-    if (mine.table.empty()) continue;
-    Shard& theirs = f.shards_[s];
-    theirs.table = std::vector<std::atomic<Chunk*>>(mine.table.size());
-    theirs.count = mine.count;
-    for (std::size_t i = 0; i < mine.table.size(); ++i) {
-      Chunk* chunk = mine.table[i].load(std::memory_order_relaxed);
-      if (chunk != nullptr) {
-        ++chunk->refs;  // single-thread contract: space + forks share one
-        theirs.table[i].store(chunk, std::memory_order_release);
-      }
-    }
+  f.chunks_ = chunks_;
+  f.chunk_count_ = chunk_count_;
+  for (Chunk* chunk : chunks_) {
+    if (chunk != nullptr) ++chunk->refs;
   }
   // The fork holds its own reference to every shared page (through the
   // shared chunks): the gauge counts mapped pages once per holder.
@@ -320,20 +273,15 @@ PackedShadow PackedShadow::fork() const {
 }
 
 void PackedShadow::release_directory() {
-  for (std::size_t s = 0; s < kShards; ++s) {
-    for (auto& cell : shards_[s].table) {
-      Chunk* chunk = cell.load(std::memory_order_relaxed);
-      if (chunk == nullptr) continue;
-      if (--chunk->refs == 0) {
-        for (std::size_t i = 0; i < kChunkPages; ++i) {
-          Page* page = chunk->pages[i].load(std::memory_order_relaxed);
-          if (page != nullptr && --page->refs == 0) arena_->release(page);
-        }
-        delete chunk;
-      }
+  for (Chunk* chunk : chunks_) {
+    if (chunk == nullptr || --chunk->refs != 0) continue;
+    for (Page* page : chunk->pages) {
+      if (page != nullptr && --page->refs == 0) arena_->release(page);
     }
-    shards_[s] = Shard{};
+    delete chunk;
   }
+  chunks_.clear();
+  chunk_count_ = 0;
   pages_live_delta(-static_cast<std::int64_t>(page_count_));
   page_count_ = 0;
   invalidate_caches();

@@ -18,15 +18,15 @@
 //    refs) must fit 28 bits — 2^28-1 ids, ~16x beyond anything the
 //    engines mint — enforced by RADER_CHECK on every store.
 //
-//  * SHARDED TWO-LEVEL DIRECTORY WITH LOCK-FREE LOOKUP — granule space is
-//    covered by chunks of 512 pages x 4096 slots (2^21 granules per
-//    chunk).  Chunk pointers live in kShards open-addressed hash tables;
-//    a single writer (the owning thread) publishes new chunks and pages
-//    with release stores, so concurrent readers on other threads (future
-//    shared-space modes) locate any published slot with acquire loads and
-//    zero locking.  Within a chunk, page lookup is an array index — no
-//    hashing — which is where the multi-MB speedup over the unordered_map
-//    comes from.
+//  * TWO-LEVEL DIRECTORY ON ONE THREAD — granule space is covered by
+//    chunks of 512 pages x 4096 slots (2^21 granules per chunk).  Chunk
+//    pointers live in one open-addressed hash table, rebuilt at twice the
+//    size (the old table freed) once it passes 3/4 full.  Within a chunk,
+//    page lookup is an array index — no hashing — which is where the
+//    multi-MB speedup over the unordered_map comes from.  A space, its
+//    forks, their shared chunks and pages and the arena belong to one
+//    thread: each detector and its checkpoint forks belong to one sweep
+//    worker.  Nothing here is atomic or locked.
 //
 //  * EPOCH-TAGGED BULK CLEAR — clear() increments the space's epoch and
 //    returns: O(1) instead of a page walk (shadow.epoch_clears).  Pages
@@ -41,7 +41,7 @@
 //    PageArena shared (shared_ptr) between a space and its forks, with an
 //    intrusive free list so epoch-cleared footprints recycle without
 //    malloc churn.  Sharing is copy-on-write at BOTH directory levels:
-//    fork() copies only the shard tables and bumps each CHUNK's refcount
+//    fork() copies only the chunk table and bumps each CHUNK's refcount
 //    — O(#chunks), a few hundred nanoseconds for a multi-MB footprint,
 //    where a per-page map would copy one node per page.  The first write
 //    through a shared chunk clones the chunk (bumping its pages'
@@ -49,16 +49,13 @@
 //    (shadow.pages_cow).  Page refcounts count referencing CHUNKS; chunk
 //    refcounts count referencing SPACES.  This is what makes the prefix
 //    sweep's per-spec checkpoint forks cheap even when the checkpoint
-//    shadows millions of granules.  A space and its forks must stay on
-//    one thread (refcounts and the arena are intentionally non-atomic);
-//    the lock-free guarantees above cover foreign READERS only.
+//    shadows millions of granules.
 //
 // Gauge conservation (shadow.pages_live): every directory reference
 // counts in once (allocation or fork) and out once (release, full reset,
 // destruction).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -162,7 +159,7 @@ class PackedShadow {
   void clear();
 
   /// Copy-on-write snapshot sharing every current chunk and page (and
-  /// the arena).  O(#chunks): only the shard tables are copied.
+  /// the arena).  O(#chunks): only the chunk table is copied.
   PackedShadow fork() const;
 
   /// Directory pages currently referenced by THIS space (stale-epoch
@@ -194,26 +191,13 @@ class PackedShadow {
   };
 
   /// Second directory level: page pointers for one aligned group of
-  /// kChunkPages pages.  The array entries are published with release
-  /// stores so foreign readers can traverse concurrently; the chunk's
-  /// key is immutable after publication.  Chunks are shared CoW between
-  /// a space and its forks (`refs` counts owning spaces): only an
-  /// exclusive chunk's cells may be mutated — a shared chunk is cloned
-  /// first (unshare_chunk).
+  /// kChunkPages pages.  Chunks are shared CoW between a space and its
+  /// forks (`refs` counts owning spaces): only an exclusive chunk's cells
+  /// may be mutated — a shared chunk is cloned first (unshare_chunk).
   struct Chunk {
     std::uintptr_t key;
     std::uint32_t refs;  // referencing SPACES (this one + sharing forks)
-    std::atomic<Page*> pages[kChunkPages];
-  };
-
-  /// One shard of the chunk directory: a power-of-two open-addressed
-  /// table of chunk pointers.  Lookup is lock-free (acquire loads);
-  /// insertion is single-writer (the owning thread).  Grown tables are
-  /// retired, not freed, so readers racing a resize stay safe.
-  struct Shard {
-    std::vector<std::atomic<Chunk*>> table;
-    std::size_t count = 0;
-    std::vector<std::vector<std::atomic<Chunk*>>> retired;
+    Page* pages[kChunkPages];
   };
 
   /// Pool of pages shared by a space and all its forks (single thread).
@@ -225,8 +209,6 @@ class PackedShadow {
     void release(Page* page);
   };
 
-  static constexpr unsigned kShardBits = 3;  // 8 shards
-  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
   static constexpr std::uintptr_t kNoKey = static_cast<std::uintptr_t>(-1);
 
   static std::uintptr_t page_key(std::uintptr_t g) { return g >> kSlotBits; }
@@ -264,20 +246,25 @@ class PackedShadow {
   /// never materializes a page just to store emptiness into it.
   std::uint64_t* clearable_run(std::uintptr_t g);
 
+  /// The table cell holding chunk `key`, or the empty cell where it
+  /// would go.  The table must be non-empty.
+  Chunk*& table_cell(std::uintptr_t key);
   Chunk* find_chunk(std::uintptr_t key);
   Chunk* ensure_chunk(std::uintptr_t key);
   /// Clone a fork-shared chunk so its cells become mutable; replaces it
-  /// in this space's shard table and returns the exclusive clone.
+  /// in this space's table and returns the exclusive clone.
   Chunk* unshare_chunk(Chunk* chunk);
-  void shard_insert(Shard& shard, Chunk* chunk);
   /// Drop every chunk reference (releasing chunks and pages that hit
-  /// refcount zero) and empty the shard tables.
+  /// refcount zero) and empty the table.
   void release_directory();
   void invalidate_caches();
   void steal_from(PackedShadow&& other);
 
   std::shared_ptr<PageArena> arena_;
-  Shard shards_[kShards];  // tables are per space; chunks are shared CoW
+  // Open-addressed, power-of-two size (or empty); the table is per space,
+  // the chunks are shared CoW.
+  std::vector<Chunk*> chunks_;
+  std::size_t chunk_count_ = 0;
   std::uint64_t epoch_ = 1;
   std::size_t page_count_ = 0;
 

@@ -4,9 +4,9 @@
 // Sampling-based and vector-clock race detectors expose per-run accounting
 // (accesses seen, shadow cells touched, per-phase costs) so that partial
 // monitoring is trustworthy and overhead is localizable; this registry gives
-// Rader the same footing.  Every detector (SP-bags, Peer-Set, SP+,
-// SP-order), the shadow spaces, the disjoint-set substrate, the RaceLog
-// dedup layer, the view arena, both engines, and the sweep feed it.
+// Rader the same footing.  Every detector (SP-bags, Peer-Set, SP+), the
+// shadow spaces, the disjoint-set substrate, the RaceLog dedup layer, the
+// view arena, both engines, and the sweep feed it.
 //
 // Design: a plain per-thread sink.  A `Registry` is a flat `Snapshot` —
 // uint64 counters, signed gauges with per-thread high-water marks,

@@ -146,6 +146,46 @@ TEST(ReportWire, MalformedJsonIsRejectedNotThrown) {
       race_log_from_json(good.substr(0, good.size() / 2), &out, &error));
 }
 
+// Integers the target field cannot hold are rejected, never clamped: a
+// clamped occurrence count would also wrap the stored-occurrence sum past
+// the declared-total check.
+TEST(ReportWire, OutOfRangeOccurrencesAreRejected) {
+  const std::string race =
+      "{\"reducer\":0,\"prior_frame\":1,\"current_frame\":2,"
+      "\"prior_label\":\"a\",\"current_label\":\"b\",\"occurrences\":";
+  const std::string json = "{\"view_read_occurrences\":1,"
+                           "\"determinacy_occurrences\":0,"
+                           "\"view_read_races\":[" +
+                           race + "99999999999999999999}," + race +
+                           "2}],\"determinacy_races\":[]}";
+  RaceLog out;
+  std::string error;
+  EXPECT_FALSE(race_log_from_json(json, &out, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(ReportWire, ReducerIdBeyondThirtyTwoBitsIsRejected) {
+  RaceLog log;
+  log.report_view_read(make_view_read_race(7, 1, 2, "a", "b"));
+  std::string json = log.to_json();
+  const std::string id = "\"reducer\":7";
+  const std::size_t at = json.find(id);
+  ASSERT_NE(at, std::string::npos);
+  RaceLog out;
+  ASSERT_TRUE(race_log_from_json(json, &out));
+  json.replace(at, id.size(), "\"reducer\":4294967296");
+  EXPECT_FALSE(race_log_from_json(json, &out));
+}
+
+TEST(ReportWire, SnapshotWireRejectsOutOfRangeWords) {
+  const std::string wire = snapshot_to_wire(metrics::Snapshot{});
+  const std::size_t last = wire.rfind(' ');
+  metrics::Snapshot out;
+  ASSERT_TRUE(snapshot_from_wire(wire, &out));
+  EXPECT_FALSE(snapshot_from_wire(
+      wire.substr(0, last + 1) + "18446744073709551616", &out));
+}
+
 TEST(ReportWire, SnapshotRoundTripsEveryBlock) {
   metrics::Snapshot snap;
   for (unsigned i = 0; i < metrics::kCounterCount; ++i) {

@@ -251,6 +251,39 @@ TEST(PackedShadow, ForkAfterForkChains) {
   EXPECT_EQ(grand.writer(0xC000), 3u);
 }
 
+TEST(PackedShadow, ChunkTableGrowthKeepsEveryChunk) {
+  // One page in each of 100 chunks: the chunk table starts at 16 cells and
+  // doubles past 3/4 load, so these inserts rebuild it four times.
+  constexpr std::uintptr_t kStride =
+      std::uintptr_t{1} << (PackedShadow::kSlotBits + PackedShadow::kChunkBits);
+  constexpr unsigned kChunks = 100;
+  PackedShadow s;
+  for (unsigned i = 0; i < kChunks; ++i) {
+    s.set_writer(i * kStride, i + 1);
+    s.set_reader(i * kStride + 1, i + 1000);
+  }
+  EXPECT_EQ(s.page_count(), kChunks);
+  for (unsigned i = 0; i < kChunks; ++i) {
+    EXPECT_EQ(s.writer(i * kStride), i + 1) << "chunk " << i;
+    EXPECT_EQ(s.reader(i * kStride + 1), i + 1000) << "chunk " << i;
+  }
+
+  PackedShadow f = s.fork();
+  for (unsigned i = 0; i < kChunks; ++i) f.set_writer(i * kStride, i + 2000);
+  for (unsigned i = 0; i < kChunks; ++i) {
+    EXPECT_EQ(s.writer(i * kStride), i + 1) << "chunk " << i;
+    EXPECT_EQ(f.writer(i * kStride), i + 2000) << "chunk " << i;
+    EXPECT_EQ(f.reader(i * kStride + 1), i + 1000) << "chunk " << i;
+  }
+
+  s.clear();
+  for (unsigned i = 0; i < kChunks; ++i) {
+    EXPECT_EQ(s.writer(i * kStride), PackedShadow::kEmpty) << "chunk " << i;
+    EXPECT_EQ(s.reader(i * kStride + 1), PackedShadow::kEmpty);
+    EXPECT_EQ(f.writer(i * kStride), i + 2000) << "chunk " << i;
+  }
+}
+
 // ---- Primitive-level oracle ------------------------------------------------
 
 // What one granule should hold: ids (kEmpty when unset) and the offsets
