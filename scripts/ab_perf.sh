@@ -11,12 +11,14 @@
 #
 # For each layout and workload it runs PAIRS alternating pairs of
 #   perfbench/run.py --workload W --seed S --seconds T --trace 0
-# (pair i uses seed i on both sides; odd pairs run HEAD first), then prints,
-# per end-to-end metric of BENCHMARK.json, the base median, the base IQR,
-# the head median and the pairs HEAD won.
+# (T is BENCHMARK.json's run_seconds; pair i uses seed i on both sides; odd
+# pairs run HEAD first), then prints, per end-to-end metric of
+# BENCHMARK.json, the base median, the base IQR, the head median and the
+# pairs HEAD won.  A pair in which either side failed, or reported a wrong
+# verdict, is left out of the table and counted on a line of its own.
 #
-# Environment: PAIRS (default 5), RUN_SECONDS (default 20), TMPDIR (where
-# the checkouts and builds go).
+# Environment: PAIRS (default 5), TMPDIR (where the checkouts and builds
+# go).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +30,7 @@ BASE=$1
 HEAD=$2
 shift 2
 PAIRS=${PAIRS:-5}
-RUN_SECONDS=${RUN_SECONDS:-20}
+RUN_SECONDS=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/ab_perf.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
@@ -91,29 +93,26 @@ def iqr(xs):
     return q[2] - q[0]
 
 
+def good(result):
+    return bool(result) and result.get("correct") and not result.get("failed")
+
+
 print(f"base {base_rev} vs head {head_rev}")
 print("| layout | workload | metric | base median | base IQR | head median | head won |")
 print("|---|---|---|---|---|---|---|")
 for (layout, workload), pairs in runs.items():
-    failed = sum(1 for p in pairs.values() for r in p.values()
-                 if r is None or not r.get("correct", False) or r.get("failed"))
+    kept = [p for p in pairs.values() if good(p.get("base")) and good(p.get("head"))]
     for m in metrics:
         name = m["name"]
-        base, head, won, n = [], [], 0, 0
-        for p in pairs.values():
-            b, h = p.get("base"), p.get("head")
-            if not b or not h:
-                continue
-            bv = b["metrics"][name]["value"]
-            hv = h["metrics"][name]["value"]
-            base.append(bv)
-            head.append(hv)
-            n += 1
-            won += (hv < bv) if m["better"] == "lower" else (hv > bv)
-        if not base:
+        if not kept:
             continue
+        base = [p["base"]["metrics"][name]["value"] for p in kept]
+        head = [p["head"]["metrics"][name]["value"] for p in kept]
+        won = sum((hv < bv) if m["better"] == "lower" else (hv > bv)
+                  for bv, hv in zip(base, head))
         print(f"| {layout} | {workload} | {name} | {statistics.median(base):.6g} "
-              f"| {iqr(base):.3g} | {statistics.median(head):.6g} | {won}/{n} |")
-    if failed:
-        print(f"| {layout} | {workload} | failed or incorrect runs: {failed} | | | | |")
+              f"| {iqr(base):.3g} | {statistics.median(head):.6g} | {won}/{len(kept)} |")
+    if len(kept) < len(pairs):
+        print(f"| {layout} | {workload} | pairs left out (a side failed or was "
+              f"incorrect): {len(pairs) - len(kept)} | | | | |")
 PY

@@ -20,6 +20,11 @@ void add_spec(std::vector<std::string>& specs, const std::string& spec) {
   specs.push_back(spec);
 }
 
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t sum;
+  return __builtin_add_overflow(a, b, &sum) ? UINT64_MAX : sum;
+}
+
 }  // namespace
 
 template <class Race>
@@ -40,7 +45,7 @@ void RaceLog::Store<Race>::absorb(const Race& r, std::size_t max_stored) {
   metrics::bump(metrics::Counter::kRacesDeduped);
   if (it->second == kDropped) return;
   Race& stored = races[it->second];
-  stored.occurrences += r.occurrences;
+  stored.occurrences = saturating_add(stored.occurrences, r.occurrences);
   add_spec(stored.eliciting_specs, r.found_under);
   for (const auto& s : r.eliciting_specs) add_spec(stored.eliciting_specs, s);
   if (stored.provenance_json.empty() && !r.provenance_json.empty()) {
@@ -51,13 +56,13 @@ void RaceLog::Store<Race>::absorb(const Race& r, std::size_t max_stored) {
 
 template <class Race>
 void RaceLog::Store<Race>::report(const Race& r, std::size_t max_stored) {
-  count += r.occurrences;
+  count = saturating_add(count, r.occurrences);
   absorb(r, max_stored);
 }
 
 template <class Race>
 void RaceLog::Store<Race>::merge(const Store& other, std::size_t max_stored) {
-  count += other.count;
+  count = saturating_add(count, other.count);
   for (const auto& r : other.races) absorb(r, max_stored);
 }
 
@@ -102,6 +107,12 @@ void RaceLog::report_determinacy(const DeterminacyRace& r) {
 void RaceLog::merge(const RaceLog& other) {
   view_reads_.merge(other.view_reads_, max_stored_);
   determinacies_.merge(other.determinacies_, max_stored_);
+}
+
+void RaceLog::add_unstored_occurrences(std::uint64_t view_read,
+                                       std::uint64_t determinacy) {
+  view_reads_.count = saturating_add(view_reads_.count, view_read);
+  determinacies_.count = saturating_add(determinacies_.count, determinacy);
 }
 
 void RaceLog::set_view_read_provenance(std::size_t index, std::string json,

@@ -125,10 +125,7 @@ class RaceLog {
   /// and a faithful reconstruction must preserve those totals so merge()
   /// arithmetic stays exact across a process boundary.
   void add_unstored_occurrences(std::uint64_t view_read,
-                                std::uint64_t determinacy) {
-    view_reads_.count += view_read;
-    determinacies_.count += determinacy;
-  }
+                                std::uint64_t determinacy);
 
   /// Stamp every stored report with the steal specification it was found
   /// under — the paper's replay feature: "Rader reports the labels
@@ -193,6 +190,8 @@ class RaceLog {
   /// One race kind's stored reports, deduplicated by `Race::Key` (the
   /// kind's frame-free race identity; real equality, not raw hashes, so a
   /// 64-bit collision cannot merge two races), and its occurrence total.
+  /// Occurrence sums saturate at 2^64-1 rather than wrap: merged logs can
+  /// come from other processes, each declaring a total near the limit.
   template <class Race>
   struct Store {
     std::vector<Race> races;

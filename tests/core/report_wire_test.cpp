@@ -177,6 +177,24 @@ TEST(ReportWire, ReducerIdBeyondThirtyTwoBitsIsRejected) {
   EXPECT_FALSE(race_log_from_json(json, &out));
 }
 
+// Two child logs that each declare a total near 2^64 are both valid; the
+// supervisor's merge saturates their sums instead of wrapping them.
+TEST(ReportWire, MergedNearMaxTotalsSaturate) {
+  RaceLog child;
+  ViewReadRace race = make_view_read_race(7, 1, 2, "a", "b");
+  race.occurrences = std::uint64_t{1} << 63;
+  child.report_view_read(race);
+  RaceLog a, b;
+  ASSERT_TRUE(race_log_from_json(child.to_json(), &a));
+  ASSERT_TRUE(race_log_from_json(child.to_json(), &b));
+  a.merge(b);
+  EXPECT_EQ(a.view_read_count(), UINT64_MAX);
+  ASSERT_EQ(a.view_read_races().size(), 1u);
+  EXPECT_EQ(a.view_read_races()[0].occurrences, UINT64_MAX);
+  a.add_unstored_occurrences(1, 0);
+  EXPECT_EQ(a.view_read_count(), UINT64_MAX);
+}
+
 TEST(ReportWire, SnapshotWireRejectsOutOfRangeWords) {
   const std::string wire = snapshot_to_wire(metrics::Snapshot{});
   const std::size_t last = wire.rfind(' ');
