@@ -30,7 +30,7 @@ BASE=$1
 HEAD=$2
 shift 2
 PAIRS=${PAIRS:-5}
-RUN_SECONDS=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+run_seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/ab_perf.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
@@ -65,7 +65,7 @@ for layout in default aligned; do
       for side in $order; do
         echo "[$layout] $w pair $i/$PAIRS: $side" >&2
         printf '%s\t%s\t%s\t%s\t%s\n' "$layout" "$w" "$i" "$side" \
-          "$(run "$side" "$layout" "$w" "$i" "$RUN_SECONDS")" >>"$RESULTS"
+          "$(run "$side" "$layout" "$w" "$i" "$run_seconds")" >>"$RESULTS"
       done
     done
   done
